@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "base/cpu.hh"
 #include "bench_util.hh"
 #include "core/experiments.hh"
 #include "dnn/conv.hh"
@@ -387,29 +386,6 @@ main(int argc, char **argv)
     // Fig-10 MLP trunk at n = 512: latent 1024 -> trunk 768.
     kernels.push_back(
         benchDense("dense_mlp_trunk", 1024, 768, fast_reps, ref_reps));
-
-    // Per-ISA entries: force each backend this binary + host can run
-    // and re-measure the representative conv and the GEMV-shaped
-    // trunk. The unsuffixed entries above use the dispatched backend
-    // (or the MINDFUL_SIMD override); the JSON manifest's `simd_isa`
-    // field records which one that was. Checksums are identical
-    // across every suffix — that is the bit-exactness contract.
-    {
-        const SimdIsa dispatched = activeSimdIsa();
-        for (const SimdIsa isa :
-             {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Neon}) {
-            if (!simdIsaSupported(isa))
-                continue;
-            forceSimdIsa(isa);
-            const std::string tag = std::string("@") + simdIsaName(isa);
-            kernels.push_back(benchConv("conv_dncnn_block1" + tag, 66, 22,
-                                        {66, 64, 8}, fast_reps,
-                                        ref_reps));
-            kernels.push_back(benchDense("dense_mlp_trunk" + tag, 1024,
-                                         768, fast_reps, ref_reps));
-        }
-        forceSimdIsa(dispatched);
-    }
 
     // Channel-dropout structured sparsity: 50% of the trunk's inputs
     // active stays above kCsrDensityThreshold (column-pruned GEMM);

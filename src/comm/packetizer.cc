@@ -136,11 +136,13 @@ Packetizer::unpack(const std::vector<std::uint8_t> &frame) const
 
     // Validate the declared sample count against the payload region
     // before any allocation: a forged or corrupted count field must
-    // not drive reserve(), and a frame whose payload cannot hold
-    // `count` samples is invalid outright.
+    // not drive reserve(). Only the canonical payload length pack()
+    // emits — `count` samples rounded up to whole bytes — is valid, so
+    // a payload too short for `count` or padded with extra bytes is
+    // rejected outright.
     const std::size_t payload_bytes =
         frame.size() - headerBytes - crcBytes;
-    if (count * static_cast<std::size_t>(bits) > payload_bytes * 8)
+    if (payload_bytes != (count * static_cast<std::size_t>(bits) + 7) / 8)
         return out;
 
     BitReader reader(frame.data() + headerBytes, payload_bytes);

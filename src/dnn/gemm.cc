@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "base/cpu.hh"
 #include "base/logging.hh"
-#include "dnn/gemm_kernels.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/handles.hh"
@@ -12,7 +10,6 @@
 #include "obs/trace.hh"
 
 namespace mindful::dnn::gemm {
-namespace detail {
 namespace {
 
 /**
@@ -123,45 +120,6 @@ gemmRowRange(std::size_t n, std::size_t k, const float *a, const float *b,
 } // namespace
 
 void
-gemmRowRangeScalar(std::size_t n, std::size_t k, const float *a,
-                   const float *b, const float *bias, float *c,
-                   std::size_t row_begin, std::size_t row_end, bool relu)
-{
-    if (relu)
-        gemmRowRange<true>(n, k, a, b, bias, c, row_begin, row_end);
-    else
-        gemmRowRange<false>(n, k, a, b, bias, c, row_begin, row_end);
-}
-
-} // namespace detail
-
-namespace {
-
-/**
- * Kernel for the dispatched ISA. Resolved per biasGemm call (one
- * relaxed atomic load inside activeSimdIsa), so tests and the bench
- * harness can retarget the tier mid-process via forceSimdIsa.
- */
-detail::RowRangeFn
-dispatchKernel()
-{
-    switch (activeSimdIsa()) {
-#if defined(MINDFUL_HAVE_AVX2)
-    case SimdIsa::Avx2:
-        return &detail::gemmRowRangeAvx2;
-#endif
-#if defined(MINDFUL_HAVE_NEON)
-    case SimdIsa::Neon:
-        return &detail::gemmRowRangeNeon;
-#endif
-    default:
-        return &detail::gemmRowRangeScalar;
-    }
-}
-
-} // namespace
-
-void
 biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
          const float *b, const float *bias, float *c, Epilogue epilogue)
 {
@@ -178,9 +136,11 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
         .arg("k", static_cast<std::uint64_t>(k));
 
     const bool relu = epilogue == Epilogue::Relu;
-    const detail::RowRangeFn kernel = dispatchKernel();
     auto run = [&](std::size_t row_begin, std::size_t row_end) {
-        kernel(n, k, a, b, bias, c, row_begin, row_end, relu);
+        if (relu)
+            gemmRowRange<true>(n, k, a, b, bias, c, row_begin, row_end);
+        else
+            gemmRowRange<false>(n, k, a, b, bias, c, row_begin, row_end);
     };
 
     // Shard over output rows only: no shard touches another shard's C

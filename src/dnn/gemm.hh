@@ -20,14 +20,6 @@
  * any `--threads` value. Cache blocking happens in the n direction
  * (register tiles of kColBlock columns walk B rows contiguously),
  * which reorders nothing.
- *
- * The row-range body is runtime-dispatched over SIMD tiers
- * (base/cpu.hh: scalar always, AVX2/NEON when compiled in and the
- * host supports them; `MINDFUL_SIMD=` pins one). The vector kernels
- * honor the same contract — lanes hold distinct output elements, each
- * still a single ascending-k chain with unfused multiply/add — so the
- * dispatch choice never changes a bit of output
- * (docs/performance.md, "SIMD dispatch tier").
  */
 
 #ifndef MINDFUL_DNN_GEMM_HH

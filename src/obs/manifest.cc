@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "base/compiler.hh"
-#include "base/cpu.hh"
 #include "obs/json.hh"
 
 // Configure-time provenance (src/obs/CMakeLists.txt). The fallbacks
@@ -47,9 +46,6 @@ RunManifest::current()
     manifest.gitSha = MINDFUL_GIT_SHA;
     manifest.buildType = MINDFUL_BUILD_TYPE;
     manifest.compiler = compilerString();
-    // The dispatch decision is provenance: two runs of the same binary
-    // can execute different kernels (MINDFUL_SIMD, different hosts).
-    manifest.simdIsa = simdIsaName(activeSimdIsa());
     manifest.threads = g_threadCount.load(std::memory_order_relaxed);
     manifest.configHash = g_configHash.load(std::memory_order_relaxed);
     return manifest;
@@ -64,8 +60,6 @@ RunManifest::writeJsonObject(std::ostream &os) const
     writeJsonEscaped(os, buildType);
     os << ", \"compiler\": ";
     writeJsonEscaped(os, compiler);
-    os << ", \"simd_isa\": ";
-    writeJsonEscaped(os, simdIsa);
     os << ", \"threads\": " << threads;
     // Hex, so the hash survives JSON readers that coerce numbers to
     // 53-bit doubles.

@@ -30,7 +30,6 @@ struct RunManifest
     std::string gitSha;    //!< `git rev-parse --short HEAD` at configure
     std::string buildType; //!< CMAKE_BUILD_TYPE
     std::string compiler;  //!< compiler id/version seen at compile time
-    std::string simdIsa;   //!< dispatched GEMM tier (base/cpu.hh)
     unsigned threads = 0;  //!< global pool width (0 = pool never sized)
     std::uint64_t configHash = 0; //!< FNV-1a of the full command line
 

