@@ -1,8 +1,9 @@
 #include "core/catalog_io.hh"
 
+#include <charconv>
+#include <climits>
 #include <fstream>
 #include <istream>
-#include <locale>
 #include <ostream>
 #include <sstream>
 
@@ -49,6 +50,20 @@ parseUnsigned(const std::string &value, int line)
     return *parsed;
 }
 
+/** Parse an unsigned field that must lie in [@p lo, @p hi]. */
+std::uint64_t
+parseInRange(const std::string &key, const std::string &value,
+             std::uint64_t lo, std::uint64_t hi, int line)
+{
+    // Range-check before any narrowing cast, so an out-of-range value
+    // fails here with its line number instead of wrapping silently.
+    const std::uint64_t parsed = parseUnsigned(value, line);
+    if (parsed < lo || parsed > hi)
+        MINDFUL_FATAL("catalog line ", line, ": '", key, "' = ", value,
+                      " must lie in [", lo, ", ", hi, "]");
+    return parsed;
+}
+
 bool
 parseBool(const std::string &value, int line)
 {
@@ -58,6 +73,20 @@ parseBool(const std::string &value, int line)
         return false;
     MINDFUL_FATAL("catalog line ", line, ": '", value,
                   "' is not a boolean (true/false)");
+}
+
+/**
+ * @p value as std::to_chars writes it: locale-free ("3.14", never
+ * "3,14" or "2.048" channels), and for a double the shortest text
+ * that parses back to the same bits.
+ */
+template <typename T>
+std::string
+number(T value)
+{
+    char buffer[32]; // holds any 64-bit integer or shortest double
+    return std::string(
+        buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
 }
 
 /** Validate the cross-field invariants of a parsed design. */
@@ -137,7 +166,8 @@ parseCatalog(std::istream &input)
         std::string value = trim(line.substr(eq + 1));
 
         if (key == "id") {
-            current.id = static_cast<int>(parseUnsigned(value, line_number));
+            current.id = static_cast<int>(
+                parseInRange(key, value, 0, INT_MAX, line_number));
         } else if (key == "name") {
             current.name = value;
         } else if (key == "reference") {
@@ -162,8 +192,9 @@ parseCatalog(std::istream &input)
             current.samplingFrequency =
                 Frequency::kilohertz(parseDouble(value, line_number));
         } else if (key == "sample_bits") {
+            // The [1, 16] range AdcModel and Packetizer accept.
             current.sampleBits = static_cast<unsigned>(
-                parseUnsigned(value, line_number));
+                parseInRange(key, value, 1, 16, line_number));
         } else if (key == "wireless") {
             current.wireless = parseBool(value, line_number);
         } else if (key == "validated") {
@@ -224,14 +255,9 @@ loadCatalog(const std::string &path)
 void
 writeCatalog(std::ostream &output, const std::vector<SocDesign> &designs)
 {
-    // Streams format numbers in the locale they were constructed
-    // under; pin the classic ("C") locale for the write so a catalog
-    // emitted under a de_DE-style global locale still reads back
-    // ("3.14", never "3,14"), then restore the caller's locale.
-    const std::locale saved = output.imbue(std::locale::classic());
     for (const auto &soc : designs) {
         output << "[soc]\n";
-        output << "id = " << soc.id << '\n';
+        output << "id = " << number(soc.id) << '\n';
         output << "name = " << soc.name << '\n';
         if (!soc.reference.empty())
             output << "reference = " << soc.reference << '\n';
@@ -239,14 +265,14 @@ writeCatalog(std::ostream &output, const std::vector<SocDesign> &designs)
                << (soc.sensorType == ni::SensorType::Spad ? "spad"
                                                           : "electrodes")
                << '\n';
-        output << "channels = " << soc.reportedChannels << '\n';
-        output << "area_mm2 = " << soc.reportedArea.inSquareMillimetres()
-               << '\n';
-        output << "power_mw = " << soc.reportedPower.inMilliwatts()
+        output << "channels = " << number(soc.reportedChannels) << '\n';
+        output << "area_mm2 = "
+               << number(soc.reportedArea.inSquareMillimetres()) << '\n';
+        output << "power_mw = " << number(soc.reportedPower.inMilliwatts())
                << '\n';
         output << "sampling_khz = "
-               << soc.samplingFrequency.inKilohertz() << '\n';
-        output << "sample_bits = " << soc.sampleBits << '\n';
+               << number(soc.samplingFrequency.inKilohertz()) << '\n';
+        output << "sample_bits = " << number(soc.sampleBits) << '\n';
         output << "wireless = " << (soc.wireless ? "true" : "false")
                << '\n';
         output << "validated = "
@@ -255,22 +281,23 @@ writeCatalog(std::ostream &output, const std::vector<SocDesign> &designs)
                << (soc.recipe.law == ScalingLaw::Linear ? "linear"
                                                         : "sqrt")
                << '\n';
-        output << "base_channels = " << soc.recipe.baseChannels << '\n';
-        output << "area_correction = " << soc.recipe.areaCorrection
+        output << "base_channels = " << number(soc.recipe.baseChannels)
                << '\n';
-        output << "power_correction = " << soc.recipe.powerCorrection
-               << '\n';
+        output << "area_correction = "
+               << number(soc.recipe.areaCorrection) << '\n';
+        output << "power_correction = "
+               << number(soc.recipe.powerCorrection) << '\n';
         if (!soc.recipe.correctionNote.empty())
             output << "correction_note = " << soc.recipe.correctionNote
                    << '\n';
-        output << "sensing_power_fraction = " << soc.sensingPowerFraction
+        output << "sensing_power_fraction = "
+               << number(soc.sensingPowerFraction) << '\n';
+        output << "sensing_area_fraction = "
+               << number(soc.sensingAreaFraction) << '\n';
+        output << "comm_share = " << number(soc.commShareOfNonSensing)
                << '\n';
-        output << "sensing_area_fraction = " << soc.sensingAreaFraction
-               << '\n';
-        output << "comm_share = " << soc.commShareOfNonSensing << '\n';
         output << '\n';
     }
-    output.imbue(saved);
 }
 
 std::string

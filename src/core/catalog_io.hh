@@ -31,14 +31,16 @@
  *     comm_share = 0.8
  *
  * Blank lines and `#` comments are ignored. Unknown keys are fatal
- * (they are always typos).
+ * (they are always typos), and so are an `id` above INT_MAX and a
+ * `sample_bits` outside the [1, 16] range the ADC model accepts.
  *
  * Parsing and serialization are locale-independent (base/parse.hh):
  * numbers always use the "C" locale grammar — `3.14`, never `3,14` —
  * regardless of the process locale, integer fields parse exactly as
- * 64-bit integers (no rounding through double above 2^53), and
- * malformed values fail with the catalog line number instead of a
- * raw std::stod exception.
+ * 64-bit integers (no rounding through double above 2^53), doubles
+ * are written in their shortest round-trip form, and malformed values
+ * fail with the catalog line number instead of a raw std::stod
+ * exception.
  */
 
 #ifndef MINDFUL_CORE_CATALOG_IO_HH

@@ -3,8 +3,7 @@
  * Lock-free memo cache for evaluated design queries.
  *
  * A fixed-capacity, open-addressed table of atomically published
- * entries, keyed by the canonical-query FNV key (query.hh). The
- * shape follows the analyzer's fact cache (tools/lint/cache.cc):
+ * entries, keyed by the canonical-query FNV key (query.hh):
  * content-hash key, first-writer-wins publication, and losers of a
  * same-key race discard their duplicate — every reader thereafter
  * sees one immutable entry, so repeat queries return bit-identical

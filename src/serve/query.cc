@@ -11,9 +11,9 @@ namespace mindful::serve {
 
 namespace {
 
-// FNV-1a 64 over explicit 64-bit lanes (same constants as the
-// analyzer's fact cache, tools/lint/cache.cc). Field-by-field mixing
-// keeps struct padding out of the digest.
+// FNV-1a 64 over explicit 64-bit lanes (the standard 64-bit offset
+// basis and prime). Field-by-field mixing keeps struct padding out of
+// the digest.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 

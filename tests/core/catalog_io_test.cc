@@ -5,6 +5,7 @@
  */
 
 #include <clocale>
+#include <cmath>
 #include <locale>
 
 #include <gtest/gtest.h>
@@ -178,6 +179,32 @@ TEST(CatalogIoTest, ParsesHugeChannelCountsExactly)
     EXPECT_EQ(reparsed[0].reportedChannels, 9007199254740993ull);
 }
 
+TEST(CatalogIoTest, DoublesRoundTripAtFullPrecision)
+{
+    // Beyond the 6 significant digits a default-formatted stream
+    // keeps (12.3457 / 1.23457 / 30.0001).
+    auto designs = parseCatalogString(
+        "[soc]\nid = 9\nname = Fine\nchannels = 1024\n"
+        "area_mm2 = 12.3456789\npower_mw = 1.23456789\n"
+        "sampling_khz = 30.0001234\n");
+    ASSERT_EQ(designs.size(), 1u);
+
+    auto reparsed = parseCatalogString(writeCatalogString(designs));
+    ASSERT_EQ(reparsed.size(), 1u);
+    auto relative = [](double got, double want) {
+        return std::abs(got - want) / want;
+    };
+    EXPECT_LE(relative(reparsed[0].reportedArea.inSquareMillimetres(),
+                       12.3456789),
+              1e-15);
+    EXPECT_LE(relative(reparsed[0].reportedPower.inMilliwatts(),
+                       1.23456789),
+              1e-15);
+    EXPECT_LE(relative(reparsed[0].samplingFrequency.inKilohertz(),
+                       30.0001234),
+              1e-15);
+}
+
 TEST(CatalogIoDeathTest, TrailingJunkIsFatal)
 {
     // std::stod would have silently accepted "12.5mm2" as 12.5.
@@ -221,6 +248,30 @@ TEST(CatalogIoDeathTest, BadFractionIsFatal)
                        "sensing_power_fraction = 1.5\n";
     EXPECT_EXIT(parseCatalogString(text), ::testing::ExitedWithCode(1),
                 "sensing_power_fraction");
+}
+
+TEST(CatalogIoDeathTest, IdAboveIntMaxIsFatal)
+{
+    // 2^32 + 1: a bare narrowing cast would read it as id 1.
+    std::string text = std::string(kMinimalEntry) + "id = 4294967297\n";
+    EXPECT_EXIT(parseCatalogString(text), ::testing::ExitedWithCode(1),
+                "line 10: 'id' = 4294967297 must lie in "
+                "\\[0, 2147483647\\]");
+}
+
+TEST(CatalogIoDeathTest, SampleBitsOutsideAdcRangeAreFatal)
+{
+    // 2^32 + 10 would narrow to 10 bits; 0 and 17 would trip the
+    // AdcModel assert far from the catalog line.
+    for (const char *bits : {"0", "17", "4294967306"}) {
+        std::string text = std::string(kMinimalEntry) +
+                           "sample_bits = " + bits + "\n";
+        EXPECT_EXIT(parseCatalogString(text),
+                    ::testing::ExitedWithCode(1),
+                    "line 10: 'sample_bits' = [0-9]+ must lie in "
+                    "\\[1, 16\\]")
+            << bits;
+    }
 }
 
 TEST(CatalogIoDeathTest, MissingFileIsFatal)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "core/experiments.hh"
@@ -93,6 +94,21 @@ TEST(ExperimentsTest, Fig10SweepBothModels)
         }
     }
     EXPECT_EQ(fig10Table(SpeechModel::Mlp).rows(), 8u);
+}
+
+TEST(ExperimentsTest, Fig10DnCnnFeasibleSetIsKnownDeviation)
+{
+    // The paper has DN-CNN feasible at 1024 channels only on SoCs
+    // {1, 2}. This model also fits SoC 7 (WIMAGINE*, 50x-reduced, with
+    // a BISC-sized budget): the documented deviation in EXPERIMENTS.md
+    // ("DN-CNN feasible at 1024 ch only on SoCs 1-2"). Pinned so a fix
+    // or a drift in the DN-CNN census shows up here.
+    std::set<int> feasible;
+    for (const auto &series :
+         dnnPowerSweep(SpeechModel::DnCnn, fig10Channels()))
+        if (series.maxChannels >= 1024)
+            feasible.insert(series.socId);
+    EXPECT_EQ(feasible, (std::set<int>{1, 2, 7}));
 }
 
 TEST(ExperimentsTest, Fig11RowsPerSocAndModel)

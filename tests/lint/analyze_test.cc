@@ -4,8 +4,8 @@
  * cross-TU checks run against small in-memory fixture trees — the
  * call-graph cases the lexical checker is blind to (transitive
  * allocation, RNG engines smuggled through helpers), the unit-algebra
- * and safety-envelope rules, the suppression hatches, and an
- * end-to-end runAnalyze pass with the incremental cache.
+ * and safety-envelope rules, the suppression hatches, and end-to-end
+ * runAnalyze passes over fixture trees on disk.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "analyze.hh"
-#include "cache.hh"
 
 namespace fs = std::filesystem;
 using namespace mindful::lint;
@@ -468,7 +467,7 @@ TEST(AnalyzeSuppression, StaleMarkerIsAFinding)
     EXPECT_NE(findings[0].message.find("stale"), std::string::npos);
 }
 
-// --- end-to-end driver (cache, determinism, exit codes) -------------------
+// --- end-to-end driver (exit codes, ordering) ----------------------------
 
 class AnalyzeRunTest : public ::testing::Test
 {
@@ -498,7 +497,7 @@ class AnalyzeRunTest : public ::testing::Test
 
     int run(AnalyzeOptions options, std::string &output)
     {
-        options.root = (_root / "src").string();
+        options.roots.push_back({(_root / "src").string(), ""});
         std::ostringstream os;
         std::ostringstream es;
         int rc = runAnalyze(options, os, es);
@@ -509,7 +508,7 @@ class AnalyzeRunTest : public ::testing::Test
     fs::path _root;
 };
 
-TEST_F(AnalyzeRunTest, ColdAndWarmCacheProduceIdenticalOutput)
+TEST_F(AnalyzeRunTest, SemanticFindingFailsRunAndEditClearsIt)
 {
     write("src/dnn/fixture.cc", R"fix(
         std::vector<double> scratch(std::size_t n)
@@ -528,36 +527,14 @@ TEST_F(AnalyzeRunTest, ColdAndWarmCacheProduceIdenticalOutput)
           "struct Config { int channels = 4; };\n");
 
     AnalyzeOptions options;
-    options.cacheDir = (_root / "cache").string();
-    std::string cold;
-    std::string warm;
-    EXPECT_EQ(run(options, cold), 1);
-    EXPECT_EQ(run(options, warm), 1);
-    EXPECT_EQ(cold, warm);
-    EXPECT_NE(cold.find("[hot-path]"), std::string::npos);
+    std::string before;
+    EXPECT_EQ(run(options, before), 1);
+    EXPECT_NE(before.find("[hot-path]"), std::string::npos) << before;
 
-    // An edit must miss the cache and change the result.
     write("src/dnn/fixture.cc", "void drive() {}\n");
     std::string fixed;
-    EXPECT_EQ(run(options, fixed), 0);
+    EXPECT_EQ(run(options, fixed), 0) << fixed;
     EXPECT_TRUE(fixed.empty());
-}
-
-TEST_F(AnalyzeRunTest, NoSemanticRestrictsToLexicalChecks)
-{
-    write("src/dnn/fixture.cc", R"fix(
-        void drive(double *sink)
-        {
-            exec::parallelFor(4, [&](std::size_t shard) {
-                std::vector<double> w(shard, 0.0);
-                sink[shard] = w[0];
-            }, "fixture.drive");
-        }
-    )fix");
-    AnalyzeOptions options;
-    options.semantic = false;
-    std::string output;
-    EXPECT_EQ(run(options, output), 0) << output;
 }
 
 TEST_F(AnalyzeRunTest, FindingsAreSortedByFileLineCheck)
@@ -1001,7 +978,7 @@ TEST(AnalyzeDeterminism, DeterminismOkSuppressesWithReason)
     EXPECT_EQ(countCheck(findings, "suppression"), 0u);
 }
 
-// --- multi-root driver and cache schema -----------------------------------
+// --- multi-root driver ---------------------------------------------------
 
 TEST_F(AnalyzeRunTest, MultiRootLabelsPrefixFindingPaths)
 {
@@ -1019,55 +996,6 @@ TEST_F(AnalyzeRunTest, MultiRootLabelsPrefixFindingPaths)
         << os.str();
     EXPECT_NE(os.str().find("tools/aux/t.hh:"), std::string::npos)
         << os.str();
-}
-
-TEST_F(AnalyzeRunTest, OldSchemaCacheFallsBackToReparse)
-{
-    const std::string rel = "dnn/fixture.cc";
-    const std::string content = R"fix(
-        std::vector<double> scratch(std::size_t n)
-        {
-            std::vector<double> out(n, 0.0);
-            return out;
-        }
-        void drive(double *sink)
-        {
-            exec::parallelFor(4, [&](std::size_t shard) {
-                sink[shard] = scratch(shard)[0];
-            }, "fixture.drive");
-        }
-    )fix";
-    write("src/" + rel, content);
-
-    AnalyzeOptions options;
-    options.cacheDir = (_root / "cache").string();
-    std::string cold;
-    EXPECT_EQ(run(options, cold), 1);
-    EXPECT_NE(cold.find("[hot-path]"), std::string::npos);
-
-    // Forge an old-schema (v2) record at the exact key the analyzer
-    // will look up, whose body claims the file has no facts at all.
-    // The strict loader must reject the header and reparse — if it
-    // trusted the record, the finding would vanish.
-    const std::string key = factsCacheKey(rel, content);
-    const fs::path forged = _root / "cache" / (key + ".facts");
-    {
-        std::ofstream out(forged);
-        out << "mindful-analyze-cache 2\nP " << rel << "\nE\n";
-    }
-    std::string warm;
-    EXPECT_EQ(run(options, warm), 1);
-    EXPECT_EQ(cold, warm);
-
-    // Control for the forgery mechanism itself: the same empty body
-    // under the CURRENT (v3) schema header IS accepted, so the key
-    // and path above really exercise the loader.
-    {
-        std::ofstream out(forged);
-        out << "mindful-analyze-cache 3\nP " << rel << "\nE\n";
-    }
-    std::string forged_out;
-    EXPECT_EQ(run(options, forged_out), 0) << forged_out;
 }
 
 // --- realtime-loop discipline ---------------------------------------------
@@ -1486,41 +1414,4 @@ TEST(AnalyzeViews, ViewOkSuppressesTheEscapeCall)
     });
     EXPECT_EQ(countCheck(findings, "view-invalidation"), 0u);
     EXPECT_EQ(countCheck(findings, "suppression"), 0u);
-}
-
-// --- baseline ratchet -----------------------------------------------------
-
-TEST_F(AnalyzeRunTest, BaselineRatchetPassesOldFindingsFailsNewOnes)
-{
-    write("src/thermal/cfg.hh",
-          "struct Config {\n    double peakPower = 1.0;\n};\n");
-
-    AnalyzeOptions snapshot;
-    snapshot.writeBaselinePath = (_root / "baseline.txt").string();
-    std::string wrote;
-    EXPECT_EQ(run(snapshot, wrote), 0);
-
-    AnalyzeOptions ratchet;
-    ratchet.baselinePath = (_root / "baseline.txt").string();
-    std::string clean;
-    EXPECT_EQ(run(ratchet, clean), 0) << clean;
-    EXPECT_TRUE(clean.empty());
-
-    // Baseline keys carry no line numbers: shifting the finding down
-    // by an edit above it must not churn the ratchet.
-    write("src/thermal/cfg.hh",
-          "// fixture header\n// second line\nstruct Config {\n"
-          "    double peakPower = 1.0;\n};\n");
-    std::string shifted;
-    EXPECT_EQ(run(ratchet, shifted), 0) << shifted;
-
-    // A finding the baseline has never seen still fails, and only the
-    // new finding is printed.
-    write("src/thermal/fresh.hh",
-          "struct Tuning {\n    double peakPower = 2.0;\n};\n");
-    std::string fresh;
-    EXPECT_EQ(run(ratchet, fresh), 1);
-    EXPECT_NE(fresh.find("thermal/fresh.hh"), std::string::npos)
-        << fresh;
-    EXPECT_EQ(fresh.find("thermal/cfg.hh"), std::string::npos) << fresh;
 }

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cache.hh"
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 #include "sarif.hh"
@@ -2405,9 +2404,7 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
     if (options.threads > 0)
         exec::ThreadPool::setGlobalThreadCount(options.threads);
 
-    std::vector<RootSpec> roots = options.roots;
-    if (roots.empty() && !options.root.empty())
-        roots.push_back({options.root, ""});
+    const std::vector<RootSpec> &roots = options.roots;
     if (roots.empty()) {
         err << "mindful-analyze: no scan root given\n";
         return 2;
@@ -2438,17 +2435,6 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         }
     }
 
-    if (!options.cacheDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(options.cacheDir, ec);
-        if (ec) {
-            err << options.cacheDir
-                << ": cannot create cache directory: " << ec.message()
-                << "\n";
-            return 2;
-        }
-    }
-
     std::vector<FileFacts> facts(files.size());
     std::vector<std::string> contents(files.size());
     std::vector<std::string> errors(files.size());
@@ -2462,15 +2448,7 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         std::ostringstream buffer;
         buffer << in.rdbuf();
         contents[i] = buffer.str();
-        const std::string &content = contents[i];
-        const std::string key = factsCacheKey(files[i].path, content);
-        if (!options.cacheDir.empty() &&
-            loadCachedFacts(options.cacheDir, key, files[i].path,
-                            facts[i]))
-            return;
-        facts[i] = analyzeFile(scanSource(files[i].path, content));
-        if (!options.cacheDir.empty())
-            storeCachedFacts(options.cacheDir, key, facts[i]);
+        facts[i] = analyzeFile(scanSource(files[i].path, contents[i]));
     };
     // One task per TU on the pool we analyze; every result lands in
     // its own index slot, so assembly order is file order regardless
@@ -2507,59 +2485,10 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
                                   options.allowlistPath);
     }
 
-    if (options.semantic) {
-        auto semantic = semanticFindings(facts);
-        findings.insert(findings.end(), semantic.begin(),
-                        semantic.end());
-    }
+    auto semantic = semanticFindings(facts);
+    findings.insert(findings.end(), semantic.begin(), semantic.end());
 
     std::sort(findings.begin(), findings.end(), findingLess);
-
-    // Ratchet baseline: a key is line-number-free so unrelated edits
-    // above a finding do not churn it out of the baseline.
-    auto baselineKey = [](const Finding &finding) {
-        return finding.file + " [" + finding.check + "] " +
-               finding.message;
-    };
-
-    if (!options.writeBaselinePath.empty()) {
-        std::ofstream base(options.writeBaselinePath,
-                           std::ios::binary);
-        if (!base) {
-            err << options.writeBaselinePath
-                << ": cannot write baseline\n";
-            return 2;
-        }
-        std::vector<std::string> keys;
-        keys.reserve(findings.size());
-        for (const Finding &finding : findings)
-            keys.push_back(baselineKey(finding));
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        for (const std::string &key : keys)
-            base << key << "\n";
-    }
-
-    if (!options.baselinePath.empty()) {
-        std::ifstream base(options.baselinePath);
-        if (!base) {
-            err << options.baselinePath << ": cannot read baseline\n";
-            return 2;
-        }
-        std::set<std::string> known;
-        std::string entry;
-        while (std::getline(base, entry)) {
-            if (!entry.empty() && entry.back() == '\r')
-                entry.pop_back();
-            if (!entry.empty())
-                known.insert(entry);
-        }
-        std::vector<Finding> fresh;
-        for (Finding &finding : findings)
-            if (!known.count(baselineKey(finding)))
-                fresh.push_back(std::move(finding));
-        findings = std::move(fresh);
-    }
 
     for (const Finding &finding : findings) {
         out << finding.file << ":" << finding.line << ": ["
@@ -2573,7 +2502,7 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
             return 2;
         }
         // Labeled roots already carry their prefix in each finding
-        // path; only the legacy single unlabeled root needs one.
+        // path; only a single unlabeled (absolute) root needs one.
         const std::string prefix =
             roots.size() == 1 && roots[0].label.empty() ? roots[0].dir
                                                         : "";
@@ -2604,8 +2533,6 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         };
         writeSarif(findings, prefix, snippets, sarif);
     }
-    if (!options.writeBaselinePath.empty())
-        return 0;
     return findings.empty() ? 0 : 1;
 }
 

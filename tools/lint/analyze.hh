@@ -2,9 +2,9 @@
  * @file
  * mindful-analyze: two-phase semantic analysis over the MINDFUL tree.
  *
- * Phase 1 (per TU, cacheable, parallel): parse the pragmatic C++
- * subset the project is written in — namespaces, classes, free and
- * member function definitions, local lambdas — into FunctionFacts:
+ * Phase 1 (per TU, parallel): parse the pragmatic C++ subset the
+ * project is written in — namespaces, classes, free and member
+ * function definitions, local lambdas — into FunctionFacts:
  * the impurities a function commits (heap allocation, container
  * growth, string construction, locks, logging, by-name metric
  * lookups), the calls it makes, the RNG draws it performs and which
@@ -210,7 +210,7 @@ struct AtomicOp
     bool dereferenced = false;
 };
 
-/** Phase-1 output for one TU; serializable for the incremental cache. */
+/** Phase-1 output for one TU. */
 struct FileFacts
 {
     std::string path;
@@ -242,7 +242,7 @@ std::vector<Finding> semanticFindings(const std::vector<FileFacts> &files);
 /**
  * One source tree to scan. Findings in it are recorded as
  * `<label>/<relative path>` (or bare relative path when the label is
- * empty, the single-root legacy form).
+ * empty, as for an absolute root).
  */
 struct RootSpec
 {
@@ -253,30 +253,18 @@ struct RootSpec
 /** Options for the full driver (defaults match the ctest entry). */
 struct AnalyzeOptions
 {
-    /** Legacy single root, label-less; used when @ref roots is empty. */
-    std::string root;
     /** Scan roots in scan order; findings merge into one report. */
     std::vector<RootSpec> roots;
     std::string allowlistPath; //!< unit-safety allowlist ("" = none)
     std::string sarifPath;     //!< SARIF 2.1.0 output ("" = none)
-    std::string cacheDir;      //!< parse-facts cache ("" = disabled)
     unsigned threads = 0;      //!< worker threads (0 = pool default)
-    bool semantic = true;      //!< false = lexical checks only
-    /**
-     * Ratchet baseline ("" = none). Findings whose `file [check]
-     * message` key appears in the file are reported but do not fail
-     * the run; only new findings flip the exit code to 1.
-     */
-    std::string baselinePath;
-    /** Write the current findings as a sorted baseline and exit 0. */
-    std::string writeBaselinePath;
 };
 
 /**
- * The mindful-analyze driver: collect sources, parse (cached,
- * sharded over the mindful_exec pool), link, check, print findings
- * to @p out sorted by (file, line, check), optionally emit SARIF.
- * Output is byte-identical across thread counts and cache states.
+ * The mindful-analyze driver: collect sources, parse (sharded over
+ * the mindful_exec pool), link, check, print findings to @p out
+ * sorted by (file, line, check), optionally emit SARIF. Output is
+ * byte-identical across thread counts.
  *
  * @return 0 clean, 1 findings, 2 driver error (unreadable root, ...).
  */

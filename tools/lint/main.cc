@@ -4,26 +4,19 @@
  *
  *   mindful-analyze --root src [--root tools --root bench ...]
  *       [--allowlist tools/lint/allowlist.txt]
- *       [--sarif out.sarif] [--cache-dir .cache/analyze]
- *       [--threads N] [--no-semantic]
- *       [--baseline <file>] [--write-baseline <file>]
- *
- * `--write-baseline` records the current findings as a sorted ratchet
- * baseline (and exits 0); `--baseline` reports and fails only on
- * findings not in that file, so a new pass can land before every
- * pre-existing finding is fixed.
+ *       [--sarif out.sarif] [--threads N]
  *
  * `--root` repeats. Finding paths are prefixed with each relative
  * root's own cleaned name ("src/...", "tools/..."), so a run from the
  * repository top level reports repo-relative paths whether one root
  * or several are given. An absolute root has no natural prefix and
- * reports root-relative paths (the historical single-root output).
+ * reports root-relative paths.
  *
- * `--no-semantic` restricts the run to the PR-3 lexical checks (the
- * old mindful-lint behaviour). Exits 0 when the tree is clean, 1 when
- * any finding survives, 2 on a driver error. Findings print as
+ * Every run parses every file, links, and runs the lexical and
+ * semantic checks. Exits 0 when the tree is clean, 1 when any finding
+ * survives, 2 on a driver error. Findings print as
  * `file:line: [check] message` and are byte-identical across thread
- * counts and cache states.
+ * counts.
  */
 
 #include <cstdlib>
@@ -37,9 +30,7 @@ namespace {
 
 const char *kUsage =
     "usage: mindful-analyze --root <dir> [--root <dir> ...]\n"
-    "           [--allowlist <file>] [--sarif <file>]\n"
-    "           [--cache-dir <dir>] [--threads <n>] [--no-semantic]\n"
-    "           [--baseline <file>] [--write-baseline <file>]\n";
+    "           [--allowlist <file>] [--sarif <file>] [--threads <n>]\n";
 
 /** Finding-path prefix for one --root argument ("" = no prefix). */
 std::string
@@ -70,8 +61,6 @@ main(int argc, char **argv)
             options.allowlistPath = argv[++i];
         } else if (arg == "--sarif" && i + 1 < argc) {
             options.sarifPath = argv[++i];
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            options.cacheDir = argv[++i];
         } else if (arg == "--threads" && i + 1 < argc) {
             std::optional<unsigned> value =
                 mindful::parseThreadCount(argv[++i]);
@@ -81,12 +70,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.threads = *value;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            options.baselinePath = argv[++i];
-        } else if (arg == "--write-baseline" && i + 1 < argc) {
-            options.writeBaselinePath = argv[++i];
-        } else if (arg == "--no-semantic") {
-            options.semantic = false;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << kUsage;
             return 0;
