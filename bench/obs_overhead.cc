@@ -1,18 +1,20 @@
 /**
  * @file
- * Micro-harness for the hot-path telemetry tier (obs/collector.hh,
- * obs/handles.hh): what does one record actually cost?
+ * Micro-harness for the telemetry record paths (obs/collector.hh,
+ * obs/metrics.hh): what does one record actually cost?
  *
- * Measures ns/event for the three hot record primitives —
+ * Measures ns/event for the three record primitives —
  *   span_record       MINDFUL_HOT_SPAN construct + destruct + ring push
- *   counter_add       MINDFUL_HOT_COUNT through a pre-resolved handle
- *   histogram_record  MINDFUL_HOT_RECORD (log-bucket index + atomics)
+ *   counter_add       gated Counter::add through a held `Counter &`
+ *   histogram_record  gated HistogramMetric::record through a held
+ *                     reference (short critical section)
  * in two runtime states:
  *   enabled           collector streaming (count-only sink), registry on
  *   disabled          collector stopped, registry runtime-disabled
  * The twin target obs_overhead_disabled compiles this same file with
  * MINDFUL_OBS_DISABLED, so its rows (mode "compiled_out") measure the
- * macros' vanished form.
+ * vanished form of the macros and of the `#ifndef`-guarded metric
+ * records.
  *
  * Also runs a deliberate ring-overflow scenario (tiny ring, paused
  * drain) and reports the drop rate plus the conservation check
@@ -33,7 +35,7 @@
 
 #include "bench_util.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
+#include "obs/metrics.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 
@@ -85,16 +87,16 @@ void
 measureOps(const std::string &mode, std::uint64_t iters,
            std::vector<Row> &rows)
 {
-    // Setup tier: resolve site and handles once, outside the loops.
+    // Setup: resolve the site and metrics once, outside the loops.
     // ([[maybe_unused]]: the compiled-out twin erases every use.)
     auto &collector = obs::TraceCollector::global();
-    auto &hot = obs::HotMetricTable::global();
+    [[maybe_unused]] auto &registry = obs::MetricRegistry::global();
     [[maybe_unused]] const obs::TraceSite site =
         collector.site("bench", "obs.span");
-    [[maybe_unused]] const obs::CounterHandle counter =
-        hot.counter("bench.obs.counter");
-    [[maybe_unused]] const obs::HistogramHandle histogram =
-        hot.histogram("bench.obs.histogram");
+    [[maybe_unused]] obs::Counter &counter =
+        registry.counter("bench.obs.counter");
+    [[maybe_unused]] obs::HistogramMetric &histogram =
+        registry.histogram("bench.obs.histogram");
 
     rows.push_back({"span_record", mode,
                     nsPerOp(iters, [&]([[maybe_unused]] std::uint64_t i) {
@@ -103,13 +105,18 @@ measureOps(const std::string &mode, std::uint64_t iters,
                     })});
     rows.push_back({"counter_add", mode,
                     nsPerOp(iters, [&](std::uint64_t) {
-                        MINDFUL_HOT_COUNT(counter, 1);
+#ifndef MINDFUL_OBS_DISABLED
+                        if (registry.enabled())
+                            counter.add(1);
+#endif
                     })});
     rows.push_back({"histogram_record", mode,
                     nsPerOp(iters, [&]([[maybe_unused]] std::uint64_t i) {
-                        MINDFUL_HOT_RECORD(
-                            histogram,
-                            0.1 + 0.5 * static_cast<double>(i & 1023));
+#ifndef MINDFUL_OBS_DISABLED
+                        if (registry.enabled())
+                            histogram.record(
+                                0.1 + 0.5 * static_cast<double>(i & 1023));
+#endif
                     })});
 }
 

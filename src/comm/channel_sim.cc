@@ -11,7 +11,6 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -140,12 +139,10 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
     // exact and order-independent — bit-identical on any thread
     // count (docs/parallelism.md).
     const std::uint64_t call = _calls++;
-    // Hot-tier shard instrumentation: site and handles resolved once,
-    // recorded lock-free inside the shard body (docs/observability.md).
+    // Shard span site interned once, recorded lock-free inside the
+    // shard body (docs/observability.md).
     static const obs::TraceSite shard_site =
         obs::TraceCollector::global().site("comm", "qam.ber_shard");
-    static const obs::CounterHandle shard_symbols =
-        obs::HotMetricTable::global().counter("comm.qam.shard_symbols");
     std::vector<std::uint64_t> shard_errors(kBerShards, 0);
     exec::parallelFor(
         kBerShards,
@@ -167,7 +164,6 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
             }
             shard_errors[shard] = errors;
             shard_span.setArg(errors);
-            shard_symbols.bump(range.end - range.begin);
         },
         "comm.qam.ber_shard");
 
@@ -179,6 +175,7 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
     // Publish per-call aggregates (never per-symbol: recording inside
     // the loop would dominate the Monte-Carlo cost).
     MINDFUL_METRIC_COUNT("comm.qam.symbols", symbols);
+    MINDFUL_METRIC_COUNT("comm.qam.shard_symbols", symbols);
     MINDFUL_METRIC_COUNT("comm.qam.bits_sent", measurement.bitsSent);
     MINDFUL_METRIC_COUNT("comm.qam.bit_errors", measurement.bitErrors);
     // 1 uniformInt + 2 gaussians per symbol.
@@ -221,11 +218,9 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
     // count, per-shard forked streams, exact integer reduction in
     // shard order — bit-identical on any thread count.
     const std::uint64_t call = _calls++;
-    // Same hot-tier pattern as the QAM path.
+    // Same shard span pattern as the QAM path.
     static const obs::TraceSite shard_site =
         obs::TraceCollector::global().site("comm", "ook.ber_shard");
-    static const obs::CounterHandle shard_bits =
-        obs::HotMetricTable::global().counter("comm.ook.shard_bits");
     std::vector<std::uint64_t> shard_errors(kBerShards, 0);
     exec::parallelFor(
         kBerShards,
@@ -243,7 +238,6 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
             }
             shard_errors[shard] = errors;
             shard_span.setArg(errors);
-            shard_bits.bump(range.end - range.begin);
         },
         "comm.ook.ber_shard");
 
@@ -253,6 +247,7 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
         measurement.bitErrors += errors;
 
     MINDFUL_METRIC_COUNT("comm.ook.bits_sent", bits);
+    MINDFUL_METRIC_COUNT("comm.ook.shard_bits", bits);
     MINDFUL_METRIC_COUNT("comm.ook.bit_errors", measurement.bitErrors);
     // 1 bernoulli + 1 gaussian per bit.
     MINDFUL_METRIC_COUNT("comm.ook.rng_draws", 2 * bits);

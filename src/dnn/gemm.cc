@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -152,15 +151,12 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
     if (shards <= 1) {
         run(0, m);
     } else {
-        // Hot-tier instrumentation, resolved once outside the shard
-        // body: a TraceSite (interned name) and a pre-registered
-        // counter handle. Recording inside the body is lock- and
-        // allocation-free — mindful-analyze certifies HotSpan and
-        // CounterHandle::bump, so this needs no suppression.
+        // The shard site is interned once outside the body; recording
+        // a HotSpan is lock- and allocation-free, and mindful-analyze
+        // certifies it, so this needs no suppression. Row counts are
+        // added after the join.
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("dnn", "gemm.shard");
-        static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter("dnn.gemm.shard_rows");
         exec::parallelFor(
             shards,
             [&](std::size_t shard) {
@@ -168,7 +164,6 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
                 auto range = exec::shardRange(m, shards, shard);
                 shard_span.setArg(range.end - range.begin);
                 run(range.begin, range.end);
-                shard_rows.bump(range.end - range.begin);
             },
             "dnn.gemm.shard");
     }
@@ -177,6 +172,8 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
     if (registry.enabled()) {
         registry.counter("dnn.gemm.calls").add(1);
         registry.counter("dnn.gemm.macs").add(macs);
+        if (shards > 1)
+            registry.counter("dnn.gemm.shard_rows").add(m);
     }
 }
 

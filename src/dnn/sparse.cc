@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -162,8 +161,6 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
     } else {
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("dnn", "spmm.shard");
-        static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter("dnn.spmm.shard_rows");
         exec::parallelFor(
             shards,
             [&](std::size_t shard) {
@@ -172,7 +169,6 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
                 shard_span.setArg(range.end - range.begin);
                 multiplyRows(n, b, bias, c, relu, range.begin,
                              range.end);
-                shard_rows.bump(range.end - range.begin);
             },
             "dnn.spmm.shard");
     }
@@ -181,6 +177,8 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
     if (registry.enabled()) {
         registry.counter("dnn.spmm.calls").add(1);
         registry.counter("dnn.spmm.macs").add(macs);
+        if (shards > 1)
+            registry.counter("dnn.spmm.shard_rows").add(_rows);
     }
 }
 

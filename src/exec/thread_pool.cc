@@ -8,7 +8,6 @@
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -33,7 +32,6 @@ struct GlobalPool
         obs::MetricRegistry::global();
         obs::TraceSession::global();
         obs::TraceCollector::global();
-        obs::HotMetricTable::global();
 #endif
     }
 

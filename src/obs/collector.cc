@@ -70,13 +70,6 @@ TraceCollector::setRingCapacity(std::size_t slots)
     _ringCapacity = slots;
 }
 
-std::size_t
-TraceCollector::ringCount() const
-{
-    LockGuard lock(_mutex);
-    return _rings.size();
-}
-
 void
 TraceCollector::start(std::ostream *os)
 {

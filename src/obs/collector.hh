@@ -118,9 +118,6 @@ class TraceCollector
     /** Ring capacity for FUTURE registrations (rounded to 2^n). */
     void setRingCapacity(std::size_t slots);
 
-    /** Number of registered rings (== registered threads). */
-    std::size_t ringCount() const;
-
     bool
     streaming() const
     {

@@ -1,14 +1,11 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "base/logging.hh"
-#include "obs/handles.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 
@@ -28,38 +25,12 @@ HistogramMetric::record(double value)
 }
 
 void
-HistogramMetric::merge(const HistogramMetric &other)
+HistogramMetric::clear()
 {
-    if (this == &other) {
-        // Self-merge doubles the distribution (the counterpart of a
-        // counter adding its own value). Merge from copies so the
-        // fold never reads the container it is writing.
-        LockGuard lock(_mutex);
-        LogHistogram histogram_copy = _histogram;
-        RunningStats stats_copy = _stats;
-        _histogram.merge(histogram_copy);
-        _stats.merge(stats_copy);
-        return;
-    }
-    // Lock ordering: by address, to keep A.merge(B) and B.merge(A)
-    // running concurrently from deadlocking. Spelled as two branches
-    // so the thread-safety analysis can see both capabilities held.
-    if (this < &other) {
-        LockGuard lock_a(_mutex);
-        LockGuard lock_b(other._mutex);
-        mergeLocked(other);
-    } else {
-        LockGuard lock_b(other._mutex);
-        LockGuard lock_a(_mutex);
-        mergeLocked(other);
-    }
-}
-
-void
-HistogramMetric::mergeLocked(const HistogramMetric &other)
-{
-    _histogram.merge(other._histogram);
-    _stats.merge(other._stats);
+    LockGuard lock(_mutex);
+    _histogram = LogHistogram(_histogram.lowerBound(),
+                              _histogram.upperBound(), _histogram.bins());
+    _stats = RunningStats();
 }
 
 std::size_t
@@ -165,49 +136,18 @@ MetricRegistry::size() const
 }
 
 void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    // Snapshot the other side's entry pointers under its lock, then
-    // fold them in via the public accessors (which take our lock per
-    // metric). The pointed-to metrics are never deleted while the
-    // other registry is alive, so the pointers stay valid.
-    struct Ref
-    {
-        std::string name;
-        const Counter *counter = nullptr;
-        const Gauge *gauge = nullptr;
-        const HistogramMetric *histogram = nullptr;
-    };
-    std::vector<Ref> refs;
-    {
-        LockGuard lock(other._mutex);
-        refs.reserve(other._entries.size());
-        for (const auto &[name, entry] : other._entries) {
-            refs.push_back({name, entry.counter.get(), entry.gauge.get(),
-                            entry.histogram.get()});
-        }
-    }
-    for (const auto &ref : refs) {
-        if (ref.counter)
-            counter(ref.name).add(ref.counter->value());
-        if (ref.gauge && ref.gauge->isSet())
-            gauge(ref.name).set(ref.gauge->value());
-        if (ref.histogram)
-            histogram(ref.name).merge(*ref.histogram);
-    }
-}
-
-void
 MetricRegistry::clear()
 {
-    {
-        LockGuard lock(_mutex);
-        _entries.clear();
+    LockGuard lock(_mutex);
+    for (auto &[name, entry] : _entries) {
+        (void)name;
+        if (entry.counter)
+            entry.counter->clear();
+        if (entry.gauge)
+            entry.gauge->clear();
+        if (entry.histogram)
+            entry.histogram->clear();
     }
-    // The global registry fronts the hot cells too; clearing it
-    // zeroes them (handles stay valid — cells are never deleted).
-    if (this == &global())
-        HotMetricTable::global().reset();
 }
 
 std::vector<MetricSample>
@@ -259,21 +199,6 @@ MetricRegistry::snapshot() const
         samples.push_back(std::move(sample));
     }
 
-    // The global registry is the one reporting path: fold the
-    // lock-free hot cells (obs/handles.hh) into its snapshot so CSV /
-    // JSON exports see one merged, name-sorted table.
-    if (this == &global()) {
-        std::vector<MetricSample> hot = HotMetricTable::global().snapshot();
-        if (!hot.empty()) {
-            samples.insert(samples.end(),
-                           std::make_move_iterator(hot.begin()),
-                           std::make_move_iterator(hot.end()));
-            std::sort(samples.begin(), samples.end(),
-                      [](const MetricSample &a, const MetricSample &b) {
-                          return a.name < b.name;
-                      });
-        }
-    }
     return samples;
 }
 

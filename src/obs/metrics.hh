@@ -9,10 +9,9 @@
  * hold a `Counter &` / `HistogramMetric &` obtained once (name lookup
  * is a locked map access, recording is an atomic add or a short
  * critical section) and typically accumulate in a local variable
- * inside the loop, publishing once per call.
- *
- * Parallel reductions mirror `RunningStats::merge`: give each worker
- * its own `MetricRegistry`, then `merge()` them into the global one.
+ * inside the loop, publishing once per call. Sharded kernels record
+ * nothing inside a shard body: the caller adds the call's total once,
+ * after the join.
  *
  * Metric names are dot-separated paths, lowercase with underscores,
  * `<subsystem>.<component>.<quantity>[_<unit>]` — e.g.
@@ -58,6 +57,10 @@ class Counter
     }
 
   private:
+    friend class MetricRegistry;
+
+    void clear() { _value.store(0, std::memory_order_relaxed); }
+
     MINDFUL_ATOMIC_ROLE(stat_counter)
     std::atomic<std::uint64_t> _value{0};
 };
@@ -81,7 +84,7 @@ class Gauge
         return _value.load(std::memory_order_relaxed);
     }
 
-    /** Whether set() has ever been called (merge keeps set values). */
+    /** Whether set() has been called since creation or clear(). */
     bool
     isSet() const
     {
@@ -89,6 +92,15 @@ class Gauge
     }
 
   private:
+    friend class MetricRegistry;
+
+    void
+    clear()
+    {
+        _value.store(0.0, std::memory_order_relaxed);
+        _set.store(false, std::memory_order_relaxed);
+    }
+
     MINDFUL_ATOMIC_ROLE(stat_counter)
     std::atomic<double> _value{0.0};
     MINDFUL_ATOMIC_ROLE(once_flag)
@@ -121,8 +133,6 @@ class HistogramMetric
 
     void record(double value);
 
-    void merge(const HistogramMetric &other);
-
     std::size_t count() const;
     double mean() const;
     double min() const;
@@ -133,9 +143,10 @@ class HistogramMetric
     double percentile(double p) const;
 
   private:
-    /** Fold @p other in; both sides' locks must already be held. */
-    void mergeLocked(const HistogramMetric &other)
-        MINDFUL_REQUIRES(_mutex, other._mutex);
+    friend class MetricRegistry;
+
+    /** Drop every sample, keeping the bucket layout. */
+    void clear();
 
     mutable Mutex _mutex;
     LogHistogram _histogram MINDFUL_GUARDED_BY(_mutex);
@@ -202,13 +213,11 @@ class MetricRegistry
     std::size_t size() const;
 
     /**
-     * Fold another registry into this one: counters add, histograms
-     * merge bucket-wise, gauges adopt the other side's value when it
-     * has been set. Metric kinds must agree per name.
+     * Zero every metric in place (intended for tests and A/B
+     * harnesses): counters to 0, gauges to unset, histograms to
+     * empty. Entries are kept, so held references stay valid and the
+     * names stay registered.
      */
-    void merge(const MetricRegistry &other);
-
-    /** Drop every metric (intended for tests and A/B harnesses). */
     void clear();
 
     /** Name-sorted snapshot of every metric. */

@@ -7,7 +7,6 @@
 #include "obs/collector.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
 
 namespace mindful::obs {
 
@@ -206,23 +205,6 @@ TraceSpan::arg(const std::string &key, std::uint64_t value)
     if (_active)
         _event.args.emplace_back(key, std::to_string(value));
     return *this;
-}
-
-ScopedTimer::ScopedTimer(HistogramMetric &metric)
-    : _metric(metric), _startNanos(nanosSinceEpoch())
-{
-}
-
-ScopedTimer::~ScopedTimer()
-{
-    // Honor the registry's runtime gate like the MINDFUL_METRIC_*
-    // macros do: a disabled registry means no recording, even through
-    // directly-held metric references.
-    if (!MetricRegistry::global().enabled())
-        return;
-    double elapsed_us =
-        static_cast<double>(nanosSinceEpoch() - _startNanos) / 1000.0;
-    _metric.record(elapsed_us);
 }
 
 } // namespace mindful::obs

@@ -125,29 +125,6 @@ class TraceSpan
     TraceEvent _event;
 };
 
-/**
- * RAII timer that records its scope's elapsed time into a histogram
- * metric (microseconds) — the metric-registry sibling of TraceSpan,
- * for when a distribution is wanted rather than a timeline. Honors
- * the global registry's runtime gate: while
- * `MetricRegistry::global().setEnabled(false)` is in effect, the
- * timer records nothing (one relaxed atomic load per scope).
- */
-class ScopedTimer
-{
-  public:
-    /** @param metric histogram receiving elapsed microseconds. */
-    explicit ScopedTimer(class HistogramMetric &metric);
-    ~ScopedTimer();
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    HistogramMetric &_metric;
-    std::uint64_t _startNanos;
-};
-
 /** No-op stand-ins the macros degrade to under MINDFUL_OBS_DISABLED. */
 class NullSpan
 {

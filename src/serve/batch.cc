@@ -10,9 +10,11 @@
  * same bytes the cache would have returned.
  *
  * The shard body's probe path — canonicalize, queryKey, MemoCache
- * probe, CounterHandle::bump — is allocation- and lock-free and is
- * certified by mindful-analyze's hot-path check. Only a miss drops
- * into the (allocating) analytic evaluation.
+ * probe — is allocation- and lock-free and is certified by
+ * mindful-analyze's hot-path check. Only a miss drops into the
+ * (allocating) analytic evaluation. Queries and hits are counted in
+ * shard-local variables and added to the registry counters once per
+ * shard, so no per-query add contends on a shared cache line.
  */
 
 #include "base/compiler.hh"
@@ -33,20 +35,22 @@ QueryEngine::evaluateBatch(const std::vector<DesignQuery> &requests)
         [&](std::size_t shard) {
             const exec::ShardRange range = exec::shardRange(
                 requests.size(), exec::kDefaultShards, shard);
+            std::uint64_t hits = 0;
             MINDFUL_RT_LOOP("serve.batch")
             for (std::uint64_t i = range.begin; i < range.end; ++i) {
                 const DesignQuery canonical =
                     canonicalize(requests[i]);
                 const std::uint64_t key = queryKey(canonical);
-                _queries.bump();
                 const QueryResult *hit = _cache.probe(key);
                 if (hit != nullptr) {
-                    _hits.bump();
+                    ++hits;
                     results[i] = *hit;
                 } else {
                     results[i] = evaluate(canonical, key);
                 }
             }
+            addIfEnabled(_queries, range.end - range.begin);
+            addIfEnabled(_hits, hits);
         },
         "serve.batch_shard");
     return results;

@@ -213,11 +213,10 @@ evaluateCompCentric(const core::ImplantModel &implant,
 
 QueryEngine::QueryEngine(std::size_t cache_capacity)
     : _cache(cache_capacity),
-      _queries(obs::HotMetricTable::global().counter("serve.queries")),
-      _hits(obs::HotMetricTable::global().counter("serve.cache.hits")),
-      _misses(
-          obs::HotMetricTable::global().counter("serve.cache.misses")),
-      _drops(obs::HotMetricTable::global().counter("serve.cache.drops"))
+      _queries(obs::MetricRegistry::global().counter("serve.queries")),
+      _hits(obs::MetricRegistry::global().counter("serve.cache.hits")),
+      _misses(obs::MetricRegistry::global().counter("serve.cache.misses")),
+      _drops(obs::MetricRegistry::global().counter("serve.cache.drops"))
 {
 }
 
@@ -226,9 +225,9 @@ QueryEngine::evaluate(const DesignQuery &request)
 {
     const DesignQuery canonical = canonicalize(request);
     const std::uint64_t key = queryKey(canonical);
-    _queries.bump();
+    addIfEnabled(_queries);
     if (const QueryResult *hit = _cache.probe(key)) {
-        _hits.bump();
+        addIfEnabled(_hits);
         return *hit;
     }
     return evaluate(canonical, key);
@@ -237,11 +236,11 @@ QueryEngine::evaluate(const DesignQuery &request)
 QueryResult
 QueryEngine::evaluate(const DesignQuery &canonical, std::uint64_t key)
 {
-    _misses.bump();
+    addIfEnabled(_misses);
     const QueryResult result = evaluateUncached(canonical);
     const QueryResult *published = _cache.publish(key, result);
     if (published == nullptr) {
-        _drops.bump();
+        addIfEnabled(_drops);
         return result;
     }
     return *published;

@@ -3,11 +3,12 @@
  * The mindful_serve query engine: batched, memo-cached evaluation of
  * design-space requests against the MINDFUL analytic models.
  *
- * One engine owns one MemoCache and a set of pre-resolved hot-tier
- * counters (serve.queries / serve.cache.hits / serve.cache.misses /
- * serve.cache.drops). evaluate() answers one DesignQuery — from the
- * cache when an equivalent request was answered before, else through
- * the core/accel/thermal analytic path for its workload class.
+ * One engine owns one MemoCache and the registry counters it resolves
+ * once at construction (serve.queries / serve.cache.hits /
+ * serve.cache.misses / serve.cache.drops). evaluate() answers one
+ * DesignQuery — from the cache when an equivalent request was answered
+ * before, else through the core/accel/thermal analytic path for its
+ * workload class.
  * evaluateBatch() (batch.cc) shards a request vector over
  * exec::parallelFor under the repo's determinism contract: fixed
  * kDefaultShards decomposition, indexed writes, results bit-identical
@@ -20,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/handles.hh"
+#include "obs/metrics.hh"
 #include "serve/cache.hh"
 #include "serve/query.hh"
 
@@ -61,22 +62,30 @@ class QueryEngine
     const MemoCache &cache() const { return _cache; }
 
     // Counter snapshots (process-wide totals; tests take deltas).
-    std::uint64_t queriesTotal() const { return _queries.total(); }
-    std::uint64_t cacheHitsTotal() const { return _hits.total(); }
-    std::uint64_t cacheMissesTotal() const { return _misses.total(); }
-    std::uint64_t cacheDropsTotal() const { return _drops.total(); }
+    std::uint64_t queriesTotal() const { return _queries.value(); }
+    std::uint64_t cacheHitsTotal() const { return _hits.value(); }
+    std::uint64_t cacheMissesTotal() const { return _misses.value(); }
+    std::uint64_t cacheDropsTotal() const { return _drops.value(); }
 
   private:
     /** The uncached analytic evaluation for one canonical request. */
     QueryResult evaluateUncached(const DesignQuery &canonical) const;
 
+    /** Add @p n to @p counter unless the global registry is disabled. */
+    static void
+    addIfEnabled(obs::Counter &counter, std::uint64_t n = 1)
+    {
+        if (obs::MetricRegistry::global().enabled())
+            counter.add(n);
+    }
+
     MemoCache _cache;
 
-    // Resolved once at construction; bumped lock-free afterwards.
-    obs::CounterHandle _queries;
-    obs::CounterHandle _hits;
-    obs::CounterHandle _misses;
-    obs::CounterHandle _drops;
+    // Resolved once at construction; added to lock-free afterwards.
+    obs::Counter &_queries;
+    obs::Counter &_hits;
+    obs::Counter &_misses;
+    obs::Counter &_drops;
 };
 
 } // namespace mindful::serve

@@ -8,7 +8,6 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -268,14 +267,11 @@ class RedBlackSweep
                 updateRow<Measure>(i, parity, acc);
             return acc;
         }
-        // Hot-tier shard instrumentation (resolved once; see
-        // docs/observability.md). site() is idempotent, so the two
-        // Measure instantiations share one interned id.
+        // Shard span site interned once (docs/observability.md).
+        // site() is idempotent, so the two Measure instantiations
+        // share one interned id.
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("thermal", "sor.shard");
-        static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter(
-                "thermal.sor.shard_rows");
         return exec::parallelReduce(
             _shards, std::array<double, 2>{0.0, 0.0},
             [&](std::size_t shard) {
@@ -287,7 +283,6 @@ class RedBlackSweep
                 for (std::uint64_t i = range.begin; i < range.end; ++i)
                     updateRow<Measure>(static_cast<std::size_t>(i),
                                        parity, acc);
-                shard_rows.bump(range.end - range.begin);
                 return acc;
             },
             [](std::array<double, 2> a, std::array<double, 2> b) {
@@ -407,6 +402,10 @@ BioHeatSolver::solveProfile(Power total, Area implant_area,
     }
 
     recordSolveMetrics("thermal.sor", iter, residual);
+    // Each sharded sweep visits every sweep row once per color.
+    if (sweep.shards() > 1)
+        MINDFUL_METRIC_COUNT("thermal.sor.shard_rows",
+                             2 * iter * (grid.rows - 1));
     return summarize(grid, std::move(temp), iter);
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -94,6 +96,29 @@ TEST(ExperimentsTest, Fig10SweepBothModels)
         }
     }
     EXPECT_EQ(fig10Table(SpeechModel::Mlp).rows(), 8u);
+}
+
+TEST(ExperimentsTest, Fig4Soc7SpacingIsKnownDeviation)
+{
+    // The paper scales WIMAGINE (SoC 7) to 1024 channels at "~200 um"
+    // spacing. Its stated 50x power+area cut gives a 156.8 mm^2 array,
+    // i.e. sqrt(area / 1024) = 391 um at 15.2 mW/cm^2: the documented
+    // deviation in EXPERIMENTS.md (Fig. 4, "recipe kept as stated").
+    // Pinned so a change to the recipe or the catalog shows up here.
+    const auto rows = fig4Rows();
+    const auto soc7 =
+        std::find_if(rows.begin(), rows.end(), [](const Fig4Row &row) {
+            return row.point.socId == 7;
+        });
+    ASSERT_NE(soc7, rows.end());
+    ASSERT_EQ(soc7->point.channels, 1024u);
+    const double spacing_um =
+        1000.0 * std::sqrt(soc7->point.area.inSquareMillimetres() /
+                           static_cast<double>(soc7->point.channels));
+    EXPECT_NEAR(spacing_um, 391.0, 1.0);
+    EXPECT_NEAR(soc7->point.powerDensity().inMilliwattsPerSquareCentimetre(),
+                15.2, 0.05);
+    EXPECT_TRUE(soc7->safe);
 }
 
 TEST(ExperimentsTest, Fig10DnCnnFeasibleSetIsKnownDeviation)

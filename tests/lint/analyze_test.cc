@@ -170,9 +170,9 @@ TEST(AnalyzeHotPath, CleanKernelFixtureIsClean)
 
 TEST(AnalyzeHotPath, HotRecordMacrosArePermittedInShardBodies)
 {
-    // The MINDFUL_HOT_* macros are the certified hot-tier record
-    // path (obs/handles.hh, obs/collector.hh): whitelisted by name,
-    // like MINDFUL_TRACE_SPAN.
+    // MINDFUL_HOT_SPAN is the certified shard-body record path
+    // (obs/collector.hh): whitelisted by name, like
+    // MINDFUL_TRACE_SPAN.
     auto findings = analyze({{"dnn/fixture.cc", R"fix(
         void kernel(float *out, std::size_t n)
         {
@@ -181,8 +181,6 @@ TEST(AnalyzeHotPath, HotRecordMacrosArePermittedInShardBodies)
                 auto range = exec::shardRange(n, 4, shard);
                 for (std::size_t i = range.begin; i < range.end; ++i)
                     out[i] = static_cast<float>(i);
-                MINDFUL_HOT_COUNT(shard_rows, range.end - range.begin);
-                MINDFUL_HOT_RECORD(shard_us, 1.5);
             }, "fixture.kernel");
         }
     )fix"}});
@@ -191,11 +189,11 @@ TEST(AnalyzeHotPath, HotRecordMacrosArePermittedInShardBodies)
 
 TEST(AnalyzeHotPath, CertifiedInlineRecordBodyResolvesClean)
 {
-    // Direct handle records (`.bump()` in src) resolve to the inline
-    // body, which the checker walks and certifies — no whitelist
-    // entry, no hatch, the proof is the body itself.
+    // Direct record calls resolve to the inline body, which the
+    // checker walks and certifies — no whitelist entry, no hatch, the
+    // proof is the body itself.
     auto findings = analyze({
-        {"obs/handles_fixture.cc", R"fix(
+        {"obs/record_fixture.cc", R"fix(
             void bump(int n)
             {
                 cell += static_cast<long>(n);
@@ -1099,12 +1097,12 @@ TEST(AnalyzeRealtime, ColdTierTracingInStreamingLoop)
 TEST(AnalyzeRealtime, HotTierHandlesAreStreamingLegal)
 {
     auto findings = analyze({{"obs/fixture.cc", R"fix(
-        void drain(Ring *ring, CounterHandle hits)
+        void drain(Ring *ring, Counter &hits)
         {
             Event event;
             MINDFUL_RT_LOOP("fixture.drain")
             while (ring->tryPop(event)) {
-                MINDFUL_HOT_COUNT(hits, 1);
+                hits.add(1);
             }
         }
     )fix"}});

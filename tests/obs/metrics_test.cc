@@ -1,7 +1,8 @@
 /**
  * @file
- * Metric registry tests: kinds, merge semantics, percentile accuracy
- * against sorted-vector ground truth, and snapshot/export paths.
+ * Metric registry tests: kinds, the runtime gate, clear() keeping
+ * references valid, percentile accuracy against sorted-vector ground
+ * truth, and snapshot/export paths.
  */
 
 #include <gtest/gtest.h>
@@ -132,24 +133,6 @@ TEST(HistogramMetricTest, PercentileTracksSortedVectorGroundTruth)
     }
 }
 
-TEST(HistogramMetricTest, MergeMatchesSequentialRecording)
-{
-    Rng rng(7);
-    HistogramMetric all, left, right;
-    for (int i = 0; i < 5000; ++i) {
-        double v = std::abs(rng.gaussian(50.0, 20.0)) + 1e-3;
-        all.record(v);
-        (i % 2 ? left : right).record(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-    EXPECT_DOUBLE_EQ(left.percentile(50.0), all.percentile(50.0));
-    EXPECT_DOUBLE_EQ(left.percentile(99.0), all.percentile(99.0));
-}
-
 TEST(MetricRegistryTest, LookupCreatesOnceAndIsStable)
 {
     MetricRegistry registry;
@@ -166,68 +149,6 @@ TEST(MetricRegistryDeathTest, KindMismatchPanics)
     MetricRegistry registry;
     registry.counter("dual.use");
     EXPECT_DEATH(registry.gauge("dual.use"), "different kind");
-}
-
-TEST(MetricRegistryTest, MergeAddsCountersMergesHistogramsAdoptsGauges)
-{
-    MetricRegistry a, b;
-    a.counter("shared.count").add(10);
-    b.counter("shared.count").add(32);
-    b.counter("only_b.count").add(7);
-
-    a.gauge("g.set_in_b");
-    b.gauge("g.set_in_b").set(2.5);
-    a.gauge("g.set_in_a").set(1.5);
-    b.gauge("g.set_in_a"); // exists but never set: must not clobber
-
-    a.histogram("h").record(1.0);
-    b.histogram("h").record(100.0);
-
-    a.merge(b);
-    EXPECT_EQ(a.counter("shared.count").value(), 42u);
-    EXPECT_EQ(a.counter("only_b.count").value(), 7u);
-    EXPECT_DOUBLE_EQ(a.gauge("g.set_in_b").value(), 2.5);
-    EXPECT_DOUBLE_EQ(a.gauge("g.set_in_a").value(), 1.5);
-    EXPECT_EQ(a.histogram("h").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.histogram("h").min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.histogram("h").max(), 100.0);
-}
-
-TEST(MetricRegistryTest, ParallelWorkerReduction)
-{
-    // The documented pattern: one local registry per worker, merged
-    // into a shared one afterwards.
-    constexpr int kWorkers = 4;
-    constexpr int kEvents = 2500;
-    std::vector<std::unique_ptr<MetricRegistry>> locals;
-    for (int w = 0; w < kWorkers; ++w)
-        locals.push_back(std::make_unique<MetricRegistry>());
-
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kWorkers; ++w) {
-        threads.emplace_back([&locals, w] {
-            Counter &events = locals[w]->counter("worker.events");
-            HistogramMetric &lat =
-                locals[w]->histogram("worker.latency_us");
-            for (int i = 0; i < kEvents; ++i) {
-                events.add();
-                lat.record(1.0 + w);
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-
-    MetricRegistry total;
-    for (const auto &local : locals)
-        total.merge(*local);
-    EXPECT_EQ(total.counter("worker.events").value(),
-              static_cast<std::uint64_t>(kWorkers * kEvents));
-    EXPECT_EQ(total.histogram("worker.latency_us").count(),
-              static_cast<std::size_t>(kWorkers * kEvents));
-    EXPECT_DOUBLE_EQ(total.histogram("worker.latency_us").min(), 1.0);
-    EXPECT_DOUBLE_EQ(total.histogram("worker.latency_us").max(),
-                     static_cast<double>(kWorkers));
 }
 
 TEST(MetricRegistryTest, SnapshotIsNameSortedAndTyped)
@@ -261,11 +182,60 @@ TEST(MetricRegistryTest, TableExportHasHeaderAndOneRowPerMetric)
 
 TEST(MetricRegistryTest, ClearEmptiesTheRegistry)
 {
+    // clear() empties every metric's *value* but keeps its entry:
+    // counters read 0, gauges are unset, histograms hold no samples.
     MetricRegistry registry;
     registry.counter("x").add(1);
+    registry.gauge("g").set(2.5);
+    registry.histogram("h").record(3.0);
     registry.clear();
-    EXPECT_EQ(registry.size(), 0u);
-    EXPECT_FALSE(registry.contains("x"));
+    EXPECT_EQ(registry.size(), 3u);
+    EXPECT_TRUE(registry.contains("x"));
+    EXPECT_EQ(registry.counter("x").value(), 0u);
+    EXPECT_FALSE(registry.gauge("g").isSet());
+    EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 0.0);
+    EXPECT_EQ(registry.histogram("h").count(), 0u);
+    EXPECT_DOUBLE_EQ(registry.histogram("h").percentile(50.0), 0.0);
+    for (const MetricSample &sample : registry.snapshot()) {
+        EXPECT_EQ(sample.count, 0u) << sample.name;
+        EXPECT_DOUBLE_EQ(sample.value, 0.0) << sample.name;
+    }
+}
+
+TEST(MetricRegistryTest, ClearKeepsReferencesValid)
+{
+    // "Returned references stay valid for the registry's lifetime":
+    // a reference held across clear() keeps recording into the entry
+    // the registry reports.
+    MetricRegistry registry;
+    Counter &c = registry.counter("x");
+    HistogramMetric &h = registry.histogram("h");
+    c.add(5);
+    h.record(2.0);
+    registry.clear();
+    c.add(1);
+    // ASSERT: past this line the histogram reference is used, which
+    // would touch freed memory if clear() had dropped the entries.
+    ASSERT_EQ(registry.counter("x").value(), 1u);
+    EXPECT_EQ(&registry.counter("x"), &c);
+    h.record(4.0);
+    EXPECT_EQ(registry.histogram("h").count(), 1u);
+    EXPECT_DOUBLE_EQ(registry.histogram("h").min(), 4.0);
+}
+
+TEST(MetricRegistryTest, CsvExportIsStableAcrossRepeatedSnapshots)
+{
+    MetricRegistry registry;
+    registry.counter("test.csv.counter").add(42);
+    registry.gauge("test.csv.gauge").set(0.5);
+    registry.histogram("test.csv.histogram").record(1.5);
+    std::ostringstream first;
+    registry.snapshotTable().printCsv(first);
+    std::ostringstream second;
+    registry.snapshotTable().printCsv(second);
+    EXPECT_EQ(first.str(), second.str());
+    EXPECT_NE(first.str().find("test.csv.counter,counter,42,42"),
+              std::string::npos);
 }
 
 TEST(MetricRegistryTest, GlobalIsASingleton)

@@ -112,33 +112,6 @@ TEST_F(TraceSpanTest, ThreadsGetDistinctIds)
     EXPECT_NE(main_id, other_id);
 }
 
-TEST_F(TraceSpanTest, ScopedTimerRecordsMicroseconds)
-{
-    HistogramMetric metric;
-    {
-        ScopedTimer timer(metric);
-    }
-    EXPECT_EQ(metric.count(), 1u);
-    EXPECT_GE(metric.min(), 0.0);
-    // An empty scope cannot plausibly take a second.
-    EXPECT_LT(metric.max(), 1e6);
-}
-
-TEST_F(TraceSpanTest, ScopedTimerHonorsRegistryGate)
-{
-    HistogramMetric metric;
-    MetricRegistry::global().setEnabled(false);
-    {
-        ScopedTimer timer(metric);
-    }
-    MetricRegistry::global().setEnabled(true);
-    EXPECT_EQ(metric.count(), 0u);
-    {
-        ScopedTimer timer(metric);
-    }
-    EXPECT_EQ(metric.count(), 1u);
-}
-
 TEST_F(TraceJsonTest, EmittedJsonParses)
 {
     {

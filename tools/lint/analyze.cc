@@ -60,11 +60,10 @@ notCalls()
         "parallelFor", "parallelReduce", "shardRange", "fork",
         "MINDFUL_ASSERT", "MINDFUL_DEBUG_ASSERT", "MINDFUL_TRACE_SPAN",
         "MINDFUL_TRACE_SCOPE",
-        // hot-tier record macros (obs/collector.hh, obs/handles.hh):
-        // they expand to HotSpan construction / CounterHandle::bump /
-        // HistogramHandle::observe, whose bodies the analyzer also
-        // sees and certifies lock- and allocation-free
-        "MINDFUL_HOT_SPAN", "MINDFUL_HOT_COUNT", "MINDFUL_HOT_RECORD",
+        // the shard-body span macro (obs/collector.hh): it expands to
+        // HotSpan construction, whose body the analyzer also sees and
+        // certifies lock- and allocation-free
+        "MINDFUL_HOT_SPAN",
     };
     return set;
 }
@@ -815,8 +814,9 @@ class Parser
         }
 
         // realtime blockers: cold-tier observability. The trace macros
-        // and TraceSpan do locked by-name registry work; only the
-        // pre-resolved MINDFUL_HOT_* handle tier is streaming-legal.
+        // and TraceSpan do locked by-name registry work; only
+        // pre-resolved MINDFUL_HOT_SPAN sites and held `Counter &`
+        // references are streaming-legal.
         if (t == "MINDFUL_TRACE_SPAN" || t == "MINDFUL_TRACE_SCOPE") {
             fn.rtBlockers.push_back(
                 {"cold-tier", line,
@@ -2261,8 +2261,8 @@ semanticFindings(const std::vector<FileFacts> &files)
                         kind == "cold-tier"
                             ? "; cold-tier observability does locked "
                               "by-name lookups — pre-resolve a "
-                              "MINDFUL_HOT_* handle at setup time "
-                              "(docs/static_analysis.md)"
+                              "MINDFUL_HOT_SPAN site or a `Counter &` "
+                              "at setup time (docs/static_analysis.md)"
                             : "; nothing blocking may run on a "
                               "streaming stage path "
                               "(docs/static_analysis.md)";

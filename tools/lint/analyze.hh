@@ -37,7 +37,8 @@
  *    from one may block — Mutex/ConditionVariable, file/stream
  *    construction, sleep/this_thread calls, unbounded `while (true)`
  *    without a break/return, or cold-tier TraceSpan / by-name metric
- *    lookups (the MINDFUL_HOT_* handle tier stays legal).
+ *    lookups (MINDFUL_HOT_SPAN sites and held `Counter &` references
+ *    stay legal).
  *  - view-invalidation: spans/string_views/rowData/raw data pointers
  *    borrowed from growable containers must not outlive a
  *    push_back/resize/reserve/move of their source — checked within
