@@ -400,7 +400,7 @@ main(int argc, char **argv)
                                       ref_reps));
 
     // Bio-heat at the seed configuration (the paper's operating
-    // point) and on a fine grid that crosses the sharding threshold.
+    // point) and on a fine grid (20 000 cells per sweep).
     kernels.push_back(benchBioHeat("bioheat_default", {},
                                    quick ? 2 : 10, quick ? 1 : 4));
     thermal::BioHeatConfig fine;

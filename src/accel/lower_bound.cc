@@ -21,12 +21,8 @@ LowerBoundSolver::sharedPoolLatency(const std::vector<dnn::MacCensus> &census,
 {
     MINDFUL_ASSERT(mac_units > 0, "latency needs at least one MAC unit");
     double steps = 0.0;
-    for (const auto &layer : census) {
-        if (layer.empty())
-            continue;
-        steps += static_cast<double>(layer.macSeq) *
-                 static_cast<double>(ceilDiv(layer.macOp, mac_units));
-    }
+    for (const auto &layer : census)
+        steps += static_cast<double>(layer.steps(mac_units));
     return Time::seconds(steps * _mac.macTime.inSeconds());
 }
 
@@ -100,8 +96,7 @@ LowerBoundSolver::solvePipelined(const std::vector<dnn::MacCensus> &census,
         bound.perLayerUnits[i] = units;
         total_units += units;
 
-        double latency = layer_seq_time *
-                         static_cast<double>(ceilDiv(layer.macOp, units));
+        double latency = static_cast<double>(layer.steps(units)) * t_mac;
         worst_latency = std::max(worst_latency, latency);
     }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/special_math.hh"
-#include "dnn/dense.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -16,49 +14,6 @@ AcceleratorSimulator::AcceleratorSimulator(SimulatorConfig config)
     MINDFUL_ASSERT(_config.macUnits > 0,
                    "simulator needs at least one MAC unit");
 }
-
-namespace {
-
-/**
- * Execute a dense layer on a weight-stationary PE pool.
- *
- * Rows (MAC_op sequences) are assigned to PEs round-robin; each pass
- * runs up to `units` rows in parallel for `in` accumulation steps.
- * The arithmetic order per row matches DenseLayer::forward(), so the
- * result is bit-identical to the functional reference.
- */
-dnn::Tensor
-runDenseOnPes(const dnn::DenseLayer &layer, const dnn::Tensor &input,
-              std::uint64_t units, std::uint64_t &cycles)
-{
-    const std::size_t in = layer.inFeatures();
-    const std::size_t out = layer.outFeatures();
-    dnn::Tensor result(dnn::Shape{out});
-
-    const float *x = input.data();
-    const auto &weights = layer.weights();
-    const auto &biases = layer.biases();
-
-    std::size_t next_row = 0;
-    while (next_row < out) {
-        std::size_t batch =
-            std::min<std::size_t>(units, out - next_row);
-        // All PEs in the pass step through their MAC_seq in lockstep.
-        for (std::size_t pe = 0; pe < batch; ++pe) {
-            std::size_t row = next_row + pe;
-            const float *w = weights.data() + row * in;
-            float acc = biases[row];
-            for (std::size_t c = 0; c < in; ++c)
-                acc += w[c] * x[c];
-            result[row] = acc;
-        }
-        next_row += batch;
-        cycles += in; // one pass = MAC_seq cycles
-    }
-    return result;
-}
-
-} // namespace
 
 SimulationResult
 AcceleratorSimulator::run(const dnn::Network &network,
@@ -74,49 +29,21 @@ AcceleratorSimulator::run(const dnn::Network &network,
     dnn::Tensor activation = input;
     for (std::size_t i = 0; i < network.layerCount(); ++i) {
         const dnn::Layer &layer = network.layer(i);
-        dnn::MacCensus census = layer.census(activation.shape());
-        std::uint64_t layer_cycles = 0;
+        const dnn::MacCensus census = layer.census(activation.shape());
+        const std::uint64_t layer_cycles = census.steps(_config.macUnits);
 
         {
             MINDFUL_TRACE_SPAN(layer_span, "accel",
                                "layer." + layer.name());
             layer_span.arg("index", static_cast<std::uint64_t>(i))
-                .arg("macs", census.totalMacs());
-
-            if (const auto *dense =
-                    dynamic_cast<const dnn::DenseLayer *>(&layer)) {
-                activation = runDenseOnPes(*dense, activation,
-                                           _config.macUnits,
-                                           layer_cycles);
-            } else {
-                if (!census.empty()) {
-                    layer_cycles =
-                        ceilDiv(census.macOp, _config.macUnits) *
-                        census.macSeq;
-                }
-                activation = layer.forward(activation);
-            }
-            layer_span.arg("cycles", layer_cycles);
+                .arg("macs", census.totalMacs())
+                .arg("cycles", layer_cycles);
+            activation = layer.forward(activation);
         }
 
         result.layerCycles[i] = layer_cycles;
         result.cycles += layer_cycles;
         result.macsExecuted += census.totalMacs();
-
-        if (census.totalMacs() > 0) {
-            Energy layer_energy = _config.mac.energyPerMac() *
-                                  static_cast<double>(census.totalMacs());
-            MINDFUL_METRIC_RECORD("accel.layer.energy_pj",
-                                  layer_energy.inPicojoules());
-            MINDFUL_METRIC_RECORD(
-                "accel.layer.latency_us",
-                (_config.mac.macTime *
-                 static_cast<double>(layer_cycles))
-                    .inMicroseconds());
-            MINDFUL_METRIC_RECORD(
-                "accel.layer.macs",
-                static_cast<double>(census.totalMacs()));
-        }
     }
 
     result.output = std::move(activation);
@@ -161,11 +88,9 @@ AcceleratorSimulator::runPipelined(
         MINDFUL_ASSERT(per_layer_units[i] > 0,
                        "MAC-bearing layer ", i,
                        " needs a non-zero unit allocation");
-        double steps =
-            static_cast<double>(census[i].macSeq) *
-            static_cast<double>(
-                ceilDiv(census[i].macOp, per_layer_units[i]));
-        double latency = steps * _config.mac.macTime.inSeconds();
+        double latency =
+            static_cast<double>(census[i].steps(per_layer_units[i])) *
+            _config.mac.macTime.inSeconds();
         result.stageLatency[i] = Time::seconds(latency);
         interval = std::max(interval, latency);
         fill += latency;

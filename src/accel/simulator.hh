@@ -5,20 +5,14 @@
  * The lower-bound solver (Eqs. 11-15) sizes a PE array analytically;
  * this simulator *executes* a network on that array and reports the
  * cycles, latency, energy and utilization the analytical model
- * predicts — closing the loop between the equations and an actual
- * dataflow:
+ * predicts. Every layer takes one path: it computes through its own
+ * Layer::forward() and is timed from its MAC census, ceil(#MAC_op /
+ * units) passes of MAC_seq steps on the weight-stationary PE pool of
+ * Fig. 9 (MacCensus::steps). MAC-free layers (pooling, activations,
+ * reshapes) execute in the dataflow FSM and take no PE cycles.
  *
- *  - Dense layers are executed PE-by-PE: each weight-stationary PE
- *    owns a round-robin share of the layer's #MAC_op rows and steps
- *    through its MAC_seq accumulations, exactly like the Fig. 9
- *    architecture (MAC + ReLU + weight ROM per PE).
- *  - Other MAC-bearing layers (convolutions) are timed from their
- *    census and evaluated functionally.
- *  - MAC-free layers (pooling, activations, reshapes) execute in the
- *    dataflow FSM and take no PE cycles.
- *
- * The simulated output is bit-identical to Network::forward(), which
- * the integration tests assert.
+ * The simulated output is therefore bit-identical to
+ * Network::forward(), input-dropout masks included.
  */
 
 #ifndef MINDFUL_ACCEL_SIMULATOR_HH

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/special_math.hh"
+
 namespace mindful::dnn {
 
 /** Per-layer MAC decomposition. */
@@ -40,6 +42,20 @@ struct MacCensus
         if (macOp != 0 && macSeq > UINT64_MAX / macOp)
             return UINT64_MAX;
         return macOp * macSeq;
+    }
+
+    /**
+     * PE time-steps on @p units MAC units (Eq. 11): ceil(#MAC_op /
+     * units) passes of MAC_seq accumulations each. Zero for a MAC-free
+     * layer; saturates like totalMacs().
+     */
+    std::uint64_t
+    steps(std::uint64_t units) const
+    {
+        const std::uint64_t passes = ceilDiv(macOp, units);
+        if (passes != 0 && macSeq > UINT64_MAX / passes)
+            return UINT64_MAX;
+        return passes * macSeq;
     }
 
     /** True for layers that perform no MACs (ReLU, pooling, ...). */

@@ -15,7 +15,7 @@
  *
  * Metric names are dot-separated paths, lowercase with underscores,
  * `<subsystem>.<component>.<quantity>[_<unit>]` — e.g.
- * `comm.qam.bit_errors`, `accel.layer.energy_pj`,
+ * `comm.qam.bit_errors`, `accel.sim.cycles`,
  * `core.closed_loop.loop_latency_us`. See docs/observability.md.
  *
  * Define `MINDFUL_OBS_DISABLED` to compile the convenience macros at

@@ -61,6 +61,19 @@ TEST(MacCensusTest, TotalMacsSaturatesInsteadOfWrapping)
     EXPECT_TRUE((MacCensus{5, 0}).empty());
 }
 
+TEST(MacCensusTest, StepsAreCeilPassesTimesSequence)
+{
+    // Eq. 11: ceil(#MAC_op / units) passes of MAC_seq steps each.
+    EXPECT_EQ((MacCensus{24, 32}).steps(8), 3u * 32u);
+    EXPECT_EQ((MacCensus{24, 32}).steps(5), 5u * 32u);
+    EXPECT_EQ((MacCensus{24, 32}).steps(64), 32u);
+    EXPECT_EQ((MacCensus{0, 5}).steps(4), 0u);
+    EXPECT_EQ((MacCensus{5, 0}).steps(4), 0u);
+    MacCensus huge{1ull << 40, 1ull << 30};
+    EXPECT_EQ(huge.steps(1), UINT64_MAX);
+    EXPECT_EQ(huge.steps(1ull << 40), 1ull << 30);
+}
+
 TEST(NetworkTest, CensusPrefixSumsToFullCensus)
 {
     Network net = smallMlp();

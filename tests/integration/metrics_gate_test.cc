@@ -1,9 +1,9 @@
 /**
  * @file
  * Runtime metric gate, end to end: with the global registry disabled,
- * the sharded kernels (GEMM, SpMM, red-black SOR, QAM/OOK BER) and the
- * query engine record no counter at all; re-enabled, the same calls
- * add their per-call totals after the join.
+ * the sharded kernels (GEMM, SpMM, QAM/OOK BER), the red-black SOR
+ * solve and the query engine record no counter at all; re-enabled,
+ * the same calls add their per-call totals.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +54,8 @@ runShardedSites(serve::QueryEngine &engine, std::uint64_t channels)
     csr.multiply(n, b.data(), nullptr, c.data(),
                  dnn::gemm::Epilogue::None);
 
-    // 0.15 mm spacing puts the sweep past the sharding threshold.
+    // The red-black SOR sweep is serial; its solve counters still
+    // sit behind the gate.
     thermal::BioHeatConfig fine;
     fine.gridSpacing = Length::millimetres(0.15);
     thermal::BioHeatSolver({}, fine).solve(Power::milliwatts(10.0),
@@ -91,7 +92,7 @@ TEST(MetricsGateTest, DisabledRegistryRecordsNoKernelOrServeCounter)
     };
     EXPECT_EQ(added("dnn.gemm.shard_rows"), 64u);
     EXPECT_EQ(added("dnn.spmm.shard_rows"), 64u);
-    EXPECT_GT(added("thermal.sor.shard_rows"), 0u);
+    EXPECT_GT(added("thermal.sor.sweeps"), 0u);
     EXPECT_EQ(added("comm.qam.shard_symbols"), 4096u);
     EXPECT_EQ(added("comm.ook.shard_bits"), 4096u);
     EXPECT_EQ(added("serve.queries"), 3u);

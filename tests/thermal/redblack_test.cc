@@ -3,7 +3,7 @@
  * Red-black SOR equivalence and convergence-policy tests.
  *
  * The production bio-heat sweep (BioHeatSolver::solve) is red-black
- * ordered, branch-hoisted, and sharded over rows; the original
+ * ordered, branch-hoisted and serial; the original
  * lexicographic sweep is retained as solveReference. Both iterate the
  * same discretized system to the same fixed point, so their fields
  * must agree to solver tolerance — that equivalence, the relative
@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "exec/thread_pool.hh"
+#include "obs/metrics.hh"
 #include "thermal/bioheat.hh"
 
 namespace mindful::thermal {
@@ -127,23 +129,26 @@ TEST(RedBlackTest, ZeroPowerConvergesImmediately)
 
 TEST(RedBlackTest, BitIdenticalAcrossThreadCounts)
 {
-    // Fine enough grid ((rows-1)*(cols-1) >= 16384 updated cells)
-    // that the color sweeps actually shard over the pool. Red-black
-    // determinism is structural — each color reads only the other
-    // color — so the fields must match bit for bit, not just within
-    // tolerance.
+    // A fine grid (20 000 updated cells per sweep) under an 8-thread
+    // pool. The sweep runs serially on the calling thread at every
+    // pool size, so the solve submits no pool task and the fields
+    // match bit for bit.
     BioHeatConfig fine;
     fine.gridSpacing = Length::millimetres(0.15);
     BioHeatSolver solver({}, fine);
     Power p = Power::milliwatts(57.6);
     Area a = Area::squareMillimetres(144.0);
+    auto &tasks = obs::MetricRegistry::global().counter("exec.pool.tasks");
 
     exec::ThreadPool::setGlobalThreadCount(1);
     auto serial = solver.solve(p, a);
     exec::ThreadPool::setGlobalThreadCount(8);
+    const std::uint64_t tasks_before = tasks.value();
     auto parallel = solver.solve(p, a);
+    const std::uint64_t pool_tasks = tasks.value() - tasks_before;
     exec::ThreadPool::setGlobalThreadCount(0);
 
+    EXPECT_EQ(pool_tasks, 0u);
     ASSERT_EQ(serial.field.size(), parallel.field.size());
     for (std::size_t i = 0; i < serial.field.size(); ++i)
         ASSERT_EQ(serial.field[i], parallel.field[i]) << "cell " << i;
