@@ -35,7 +35,7 @@ struct UnpackedFrame
 {
     bool valid = false; //!< sync found, sizes consistent, CRC passed
     std::uint16_t sequence = 0;
-    std::vector<std::uint32_t> samples;
+    std::vector<std::uint32_t> samples; //!< empty unless valid
 };
 
 /** Bit-exact frame encoder / decoder. */

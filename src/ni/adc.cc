@@ -12,7 +12,8 @@ AdcModel::AdcModel(unsigned bits, double full_scale_uv, Frequency sampling)
 {
     MINDFUL_ASSERT(bits >= 1 && bits <= 16,
                    "ADC bitwidth must be in [1, 16], got ", bits);
-    MINDFUL_ASSERT(full_scale_uv > 0.0, "ADC full scale must be positive");
+    MINDFUL_ASSERT(std::isfinite(full_scale_uv) && full_scale_uv > 0.0,
+                   "ADC full scale must be positive and finite");
     MINDFUL_ASSERT(sampling.inHertz() > 0.0,
                    "ADC sampling frequency must be positive");
 }
@@ -26,12 +27,16 @@ AdcModel::lsbMicrovolts() const
 std::uint32_t
 AdcModel::quantize(double microvolts) const
 {
-    double clamped = std::clamp(microvolts, -_fullScale, _fullScale);
+    // NaN would pass through the clamp to the integer cast, where it is
+    // undefined; it takes the bottom rail instead.
+    double clamped = std::isnan(microvolts)
+                         ? -_fullScale
+                         : std::clamp(microvolts, -_fullScale, _fullScale);
     double normalized = (clamped + _fullScale) / (2.0 * _fullScale);
-    auto code = static_cast<std::int64_t>(
-        std::floor(normalized * static_cast<double>(1u << _bits)));
-    return static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(code, 0, maxCode()));
+    // normalized * 2^d lies in [0, 2^d], where truncation is floor().
+    auto code = static_cast<std::uint32_t>(
+        normalized * static_cast<double>(1u << _bits));
+    return std::min(code, maxCode());
 }
 
 double
@@ -44,10 +49,9 @@ AdcModel::dequantize(std::uint32_t code) const
 std::vector<std::uint32_t>
 AdcModel::quantize(const std::vector<double> &microvolts) const
 {
-    std::vector<std::uint32_t> codes;
-    codes.reserve(microvolts.size());
-    for (double v : microvolts)
-        codes.push_back(quantize(v));
+    std::vector<std::uint32_t> codes(microvolts.size());
+    for (std::size_t i = 0; i < codes.size(); ++i)
+        codes[i] = quantize(microvolts[i]);
     return codes;
 }
 

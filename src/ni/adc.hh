@@ -26,7 +26,8 @@ class AdcModel
   public:
     /**
      * @param bits sample bitwidth d (1..16).
-     * @param full_scale_uv symmetric input range [-FS, +FS] in uV.
+     * @param full_scale_uv symmetric input range [-FS, +FS] in uV;
+     *        positive and finite.
      * @param sampling per-channel sampling frequency f.
      */
     AdcModel(unsigned bits, double full_scale_uv, Frequency sampling);
@@ -41,7 +42,11 @@ class AdcModel
     /** Largest code value (2^d - 1). */
     std::uint32_t maxCode() const { return (1u << _bits) - 1; }
 
-    /** Quantize one sample (uV) to an unsigned code, saturating. */
+    /**
+     * Quantize one sample (uV) to an unsigned code, saturating: inputs
+     * at or beyond the rails, infinities included, map to 0 and
+     * maxCode(). NaN maps to code 0.
+     */
     std::uint32_t quantize(double microvolts) const;
 
     /** Reconstruct the analog value (uV) at a code's bin centre. */

@@ -1,9 +1,15 @@
 /**
  * @file
- * ADC quantizer tests, including a parameterized bitwidth sweep.
+ * ADC quantizer tests: a parameterized bitwidth sweep, NaN and infinity
+ * inputs, and bit-exactness against the floor() formula at every code
+ * edge.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "ni/adc.hh"
 
@@ -65,6 +71,60 @@ TEST(AdcTest, BufferQuantization)
     EXPECT_LT(codes[2], codes[0]);
 }
 
+TEST(AdcTest, NanMapsToCodeZero)
+{
+    AdcModel adc = makeAdc(10);
+    EXPECT_EQ(adc.quantize(std::numeric_limits<double>::quiet_NaN()), 0u);
+    EXPECT_EQ(adc.quantize(-std::numeric_limits<double>::quiet_NaN()), 0u);
+}
+
+TEST(AdcTest, InfinitiesSaturate)
+{
+    AdcModel adc = makeAdc(10);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(adc.quantize(inf), adc.maxCode());
+    EXPECT_EQ(adc.quantize(-inf), 0u);
+}
+
+/** The quantizer as first written: clamp, normalize, floor, clamp. */
+std::uint32_t
+floorReference(const AdcModel &adc, double microvolts)
+{
+    const double fs = adc.fullScaleMicrovolts();
+    double clamped = std::clamp(microvolts, -fs, fs);
+    double normalized = (clamped + fs) / (2.0 * fs);
+    auto code = static_cast<std::int64_t>(
+        std::floor(normalized * static_cast<double>(1u << adc.bits())));
+    return static_cast<std::uint32_t>(
+        std::clamp<std::int64_t>(code, 0, adc.maxCode()));
+}
+
+class AdcFloorEquivalence : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(AdcFloorEquivalence, MatchesFloorAtEveryCodeEdge)
+{
+    AdcModel adc = makeAdc(GetParam());
+    const double fs = adc.fullScaleMicrovolts();
+    const double lsb = adc.lsbMicrovolts();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::size_t mismatches = 0;
+    for (std::uint32_t k = 0; k <= adc.maxCode() + 1; ++k) {
+        const double edge = -fs + static_cast<double>(k) * lsb;
+        for (double v : {std::nextafter(edge, -inf), edge,
+                         std::nextafter(edge, inf)}) {
+            if (adc.quantize(v) != floorReference(adc, v) &&
+                mismatches++ < 5)
+                ADD_FAILURE() << "bits=" << adc.bits() << " v=" << v;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bitwidths, AdcFloorEquivalence,
+                         ::testing::Values(1u, 10u, 16u));
+
 /** Property sweep: round-trip error is bounded by half an LSB. */
 class AdcRoundTrip : public ::testing::TestWithParam<unsigned>
 {
@@ -98,6 +158,14 @@ TEST(AdcDeathTest, RejectsInvalidBitwidth)
                  "bitwidth");
     EXPECT_DEATH(AdcModel(17, 1000.0, Frequency::kilohertz(8.0)),
                  "bitwidth");
+}
+
+TEST(AdcDeathTest, RejectsNonFiniteFullScale)
+{
+    // inf / inf would turn every sample into NaN.
+    EXPECT_DEATH(AdcModel(10, std::numeric_limits<double>::infinity(),
+                          Frequency::kilohertz(8.0)),
+                 "full scale");
 }
 
 } // namespace
