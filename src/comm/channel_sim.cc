@@ -164,8 +164,7 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
             }
             shard_errors[shard] = errors;
             shard_span.setArg(errors);
-        },
-        "comm.qam.ber_shard");
+        });
 
     BerMeasurement measurement;
     measurement.bitsSent = symbols * k;
@@ -238,8 +237,7 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
             }
             shard_errors[shard] = errors;
             shard_span.setArg(errors);
-        },
-        "comm.ook.ber_shard");
+        });
 
     BerMeasurement measurement;
     measurement.bitsSent = bits;

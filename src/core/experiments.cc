@@ -278,8 +278,7 @@ fig9Rows()
             rows[i].design = static_cast<int>(i) + 1;
             rows[i].point = points[i];
             rows[i].estimate = model.estimate(points[i]);
-        },
-        "core.fig9.design_point");
+        });
     return rows;
 }
 
@@ -412,8 +411,7 @@ partitionGains(SpeechModel model)
                     ? static_cast<double>(row.maxChannelsPartitioned) /
                           static_cast<double>(row.maxChannelsFull)
                     : 1.0;
-        },
-        "core.fig11.partition_soc");
+        });
     return rows;
 }
 
@@ -477,8 +475,7 @@ optimizationSweep(int soc_id, SpeechModel model)
             for (std::size_t k = 0; k < ladders.size(); ++k)
                 sweep[i].outcomes[k] =
                     study.evaluate(channels[i], ladders[k]);
-        },
-        "core.fig12.channel_count");
+        });
     return sweep;
 }
 

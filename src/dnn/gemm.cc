@@ -164,8 +164,7 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
                 auto range = exec::shardRange(m, shards, shard);
                 shard_span.setArg(range.end - range.begin);
                 run(range.begin, range.end);
-            },
-            "dnn.gemm.shard");
+            });
     }
 
     auto &registry = obs::MetricRegistry::global();

@@ -169,8 +169,7 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
                 shard_span.setArg(range.end - range.begin);
                 multiplyRows(n, b, bias, c, relu, range.begin,
                              range.end);
-            },
-            "dnn.spmm.shard");
+            });
     }
 
     auto &registry = obs::MetricRegistry::global();

@@ -12,11 +12,12 @@
  * bit-for-bit identical output; `--threads` is a pure performance
  * knob.
  *
- * Work smaller than a few thousand "inner iterations" per shard is
- * usually not worth shipping to the pool; both helpers run inline
- * (same shard order, same spans) when the pool has a single thread or
- * when already executing on a pool worker (which also makes nested
- * parallelism deadlock-free).
+ * Every call takes one path (thread_pool.hh): the caller claims
+ * shards in ascending order alongside up to threads - 1 pool helpers.
+ * With one shard, one thread, a taken pool or a call from a pool
+ * worker the caller simply claims them all, which also makes nested
+ * parallelism deadlock-free. Work smaller than a few thousand "inner
+ * iterations" per shard is still usually not worth the hand-off.
  */
 
 #ifndef MINDFUL_EXEC_PARALLEL_HH
@@ -61,13 +62,10 @@ ShardRange shardRange(std::uint64_t items, std::size_t shards,
  * Run body(shard) for every shard in [0, shards), blocking until all
  * complete. Exceptions are captured per shard and the lowest-indexed
  * one is rethrown on the caller after every shard finished (so which
- * exception propagates is also thread-count independent). Each shard
- * records a trace span named @p label (category "exec") when tracing
- * is enabled.
+ * exception propagates is also thread-count independent).
  */
 void parallelFor(std::size_t shards,
-                 const std::function<void(std::size_t)> &body,
-                 const char *label = nullptr);
+                 const std::function<void(std::size_t)> &body);
 
 /**
  * Map every shard to a partial result, then fold the partials into
@@ -83,12 +81,11 @@ void parallelFor(std::size_t shards,
 template <typename T, typename MapFn, typename CombineFn>
 T
 parallelReduce(std::size_t shards, T init, MapFn &&map,
-               CombineFn &&combine, const char *label = nullptr)
+               CombineFn &&combine)
 {
     std::vector<T> partials(shards);
-    parallelFor(
-        shards, [&](std::size_t shard) { partials[shard] = map(shard); },
-        label);
+    parallelFor(shards,
+                [&](std::size_t shard) { partials[shard] = map(shard); });
     T acc = std::move(init);
     for (std::size_t shard = 0; shard < shards; ++shard)
         acc = combine(std::move(acc), std::move(partials[shard]));

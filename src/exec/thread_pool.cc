@@ -1,7 +1,8 @@
 #include "exec/thread_pool.hh"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "base/compiler.hh"
@@ -66,16 +67,60 @@ resolveThreadCount(unsigned requested)
     return hardware > 0 ? hardware : 1;
 }
 
-std::uint64_t
-nowMicros()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 } // namespace
+
+/**
+ * One run() call, on its caller's stack. Shards are claimed in
+ * ascending order under the job's own mutex; the caller waits for
+ * every attached helper before the job goes out of scope.
+ */
+struct ThreadPool::Job
+{
+    Job(std::size_t shard_count,
+        const std::function<void(std::size_t)> &shard_body)
+        : shards(shard_count), body(shard_body)
+    {
+    }
+
+    /** Claim and run shards until none is left. */
+    void drain();
+
+    const std::size_t shards;
+    const std::function<void(std::size_t)> &body;
+
+    Mutex mutex;
+    ConditionVariable idle;
+    std::size_t next MINDFUL_GUARDED_BY(mutex) = 0; //!< next unclaimed
+    std::size_t attached MINDFUL_GUARDED_BY(mutex) = 0; //!< helpers in drain()
+    std::size_t failedShard MINDFUL_GUARDED_BY(mutex) = 0;
+    std::exception_ptr error MINDFUL_GUARDED_BY(mutex);
+};
+
+void
+ThreadPool::Job::drain()
+{
+    for (;;) {
+        std::size_t shard = 0;
+        {
+            LockGuard lock(mutex);
+            if (next == shards)
+                return;
+            shard = next++;
+        }
+        try {
+            body(shard);
+        } catch (...) {
+            // Keep claiming: every shard runs, and the lowest-indexed
+            // failure wins, so which exception surfaces does not
+            // depend on scheduling.
+            LockGuard lock(mutex);
+            if (!error || shard < failedShard) {
+                error = std::current_exception();
+                failedShard = shard;
+            }
+        }
+    }
+}
 
 ThreadPool::ThreadPool(unsigned threads) : _threadCount(threads)
 {
@@ -87,9 +132,10 @@ ThreadPool::ThreadPool(unsigned threads) : _threadCount(threads)
     // link against exec, so exec publishes it.
     obs::setManifestThreadCount(threads);
 #endif
-    _workers.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
+    // The caller of run() is the pool's first thread.
+    _workers.reserve(threads - 1);
+    for (unsigned i = 1; i < threads; ++i)
+        _workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -104,44 +150,43 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::run(std::size_t shards,
+                const std::function<void(std::size_t)> &body)
 {
-    MINDFUL_ASSERT(task != nullptr, "cannot submit an empty task");
-    {
+    Job job(shards, body);
+    std::size_t helpers = 0;
+    // A worker never posts: a nested call drains its shards alone,
+    // which is what keeps nested parallelism deadlock-free.
+    if (shards > 1 && !t_on_worker) {
         LockGuard lock(_mutex);
-        MINDFUL_ASSERT(!_stopping,
-                       "cannot submit to a stopping thread pool");
-        _queue.push_back(std::move(task));
-        ++_tasksSubmitted;
-        if (_queue.size() > _queuePeak) {
-            _queuePeak = _queue.size();
-            MINDFUL_METRIC_GAUGE("exec.pool.queue_depth_peak",
-                                 static_cast<double>(_queuePeak));
+        if (_job == nullptr) {
+            helpers = std::min<std::size_t>(_threadCount, shards) - 1;
+            if (helpers > 0) {
+                _job = &job;
+                _seats = helpers;
+            }
         }
     }
-    MINDFUL_METRIC_COUNT("exec.pool.tasks", 1);
-    _wake.notifyOne();
-}
+    if (helpers > 0) {
+        MINDFUL_METRIC_COUNT("exec.pool.tasks", helpers);
+        for (std::size_t i = 0; i < helpers; ++i)
+            _wake.notifyOne();
+    }
 
-std::uint64_t
-ThreadPool::tasksSubmitted() const
-{
-    LockGuard lock(_mutex);
-    return _tasksSubmitted;
-}
+    job.drain();
 
-std::size_t
-ThreadPool::queueDepthPeak() const
-{
-    LockGuard lock(_mutex);
-    return _queuePeak;
-}
-
-std::uint64_t
-ThreadPool::busyMicros() const
-{
-    LockGuard lock(_mutex);
-    return _busyMicros;
+    if (helpers > 0) {
+        // Withdraw the seats no worker took; from here no worker can
+        // attach, so the job outlives every helper that did.
+        LockGuard lock(_mutex);
+        _job = nullptr;
+        _seats = 0;
+    }
+    LockGuard lock(job.mutex);
+    while (job.attached != 0)
+        job.idle.wait(job.mutex);
+    if (job.error)
+        std::rethrow_exception(job.error);
 }
 
 bool
@@ -151,7 +196,7 @@ ThreadPool::onWorkerThread()
 }
 
 void
-ThreadPool::workerLoop(unsigned)
+ThreadPool::workerLoop()
 {
     t_on_worker = true;
 #ifndef MINDFUL_OBS_DISABLED
@@ -160,27 +205,22 @@ ThreadPool::workerLoop(unsigned)
     obs::TraceCollector::global().registerCurrentThread();
 #endif
     for (;;) {
-        std::function<void()> task;
+        Job *job = nullptr;
         {
             LockGuard lock(_mutex);
-            while (!_stopping && _queue.empty())
+            while (!_stopping && _seats == 0)
                 _wake.wait(_mutex);
-            // Graceful shutdown: drain every queued task before
-            // exiting, so submitted work runs exactly once even
-            // mid-teardown.
-            if (_queue.empty())
+            if (_stopping)
                 return;
-            task = std::move(_queue.front());
-            _queue.pop_front();
+            --_seats;
+            job = _job;
+            LockGuard attach(job->mutex);
+            ++job->attached;
         }
-
-        std::uint64_t start = nowMicros();
-        task();
-        std::uint64_t elapsed = nowMicros() - start;
-        MINDFUL_METRIC_COUNT("exec.pool.busy_us", elapsed);
-
-        LockGuard lock(_mutex);
-        _busyMicros += elapsed;
+        job->drain();
+        LockGuard lock(job->mutex);
+        if (--job->attached == 0)
+            job->idle.notifyAll();
     }
 }
 
@@ -204,8 +244,7 @@ ThreadPool::setGlobalThreadCount(unsigned threads)
     global.requested = threads;
     unsigned resolved = resolveThreadCount(threads);
     // Restart lazily on the next global() call. Callers must not
-    // reconfigure while parallel work is in flight (the pool drains
-    // its queue before the workers join, so nothing is lost).
+    // reconfigure while a parallelFor is in flight.
     if (global.pool && global.pool->threadCount() != resolved)
         global.pool.reset();
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide worker pool for the parallel Monte-Carlo substrates.
+ * Process-wide worker pool behind exec::parallelFor.
  *
  * The pool follows the engineering discipline of the rest of the
  * repository: determinism first. It never decides *what* work runs or
@@ -12,8 +12,13 @@
  *    go parallel pay nothing;
  *  - the thread count is configuration (--threads, MINDFUL_THREADS,
  *    hardware_concurrency fallback), never part of any result;
- *  - shutdown is graceful: the destructor drains every queued task
- *    before joining, so submitted work always runs exactly once.
+ *  - it runs one job at a time. run() posts {body, shards} into a
+ *    single slot and hands it to min(threads, shards) - 1 idle
+ *    workers; the caller and those helpers then claim shard indices
+ *    in ascending order until none is left. A one-shard job, a
+ *    one-thread pool, a call from a pool worker (nested parallelism)
+ *    and a call that finds the slot taken all run that same claim
+ *    loop with no helpers, so every call takes one path.
  *
  * Pool health is published through mindful_obs as the exec.pool.*
  * metrics (docs/observability.md).
@@ -22,8 +27,7 @@
 #ifndef MINDFUL_EXEC_THREAD_POOL_HH
 #define MINDFUL_EXEC_THREAD_POOL_HH
 
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -32,32 +36,28 @@
 
 namespace mindful::exec {
 
-/** Fixed-size worker pool with a single FIFO work queue. */
+/** Fixed-size pool: the calling thread plus threads - 1 workers. */
 class ThreadPool
 {
   public:
-    /** Start @p threads workers (must be >= 1). */
+    /** Start @p threads - 1 workers (@p threads must be >= 1). */
     explicit ThreadPool(unsigned threads);
 
-    /** Drains the queue, then joins every worker. */
+    /** Joins every worker; no run() may be in flight. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue one task. Never blocks; tasks run in FIFO order. */
-    void submit(std::function<void()> task);
+    /**
+     * Run body(shard) for every shard in [0, shards) on the caller
+     * and at most threadCount() - 1 helpers, blocking until every
+     * shard finished; see exec::parallelFor for the exception rule.
+     */
+    void run(std::size_t shards,
+             const std::function<void(std::size_t)> &body);
 
     unsigned threadCount() const { return _threadCount; }
-
-    /** Tasks submitted over the pool's lifetime. */
-    std::uint64_t tasksSubmitted() const;
-
-    /** Largest queue depth observed since construction. */
-    std::size_t queueDepthPeak() const;
-
-    /** Total wall-clock time workers spent inside tasks [us]. */
-    std::uint64_t busyMicros() const;
 
     /** True when called from one of this process's pool workers. */
     static bool onWorkerThread();
@@ -72,8 +72,8 @@ class ThreadPool
     /**
      * Configure the global pool's thread count; 0 restores the
      * automatic default. If the pool is already running with a
-     * different count it is drained, shut down, and lazily restarted
-     * — safe because shard decomposition never depends on the count.
+     * different count it is shut down and lazily restarted — safe
+     * because shard decomposition never depends on the count.
      */
     static void setGlobalThreadCount(unsigned threads);
 
@@ -81,19 +81,21 @@ class ThreadPool
     static unsigned globalThreadCount();
 
   private:
-    void workerLoop(unsigned worker_index);
+    struct Job;
+
+    void workerLoop();
 
     const unsigned _threadCount;
-    std::vector<std::thread> _workers;
 
-    mutable Mutex _mutex;
+    Mutex _mutex;
     ConditionVariable _wake;
-    std::deque<std::function<void()>> _queue MINDFUL_GUARDED_BY(_mutex);
+    /** The posted job; set and cleared only by its run() caller. */
+    Job *_job MINDFUL_GUARDED_BY(_mutex) = nullptr;
+    /** Helpers _job still wants; a worker attaches by taking one. */
+    std::size_t _seats MINDFUL_GUARDED_BY(_mutex) = 0;
     bool _stopping MINDFUL_GUARDED_BY(_mutex) = false;
 
-    std::uint64_t _tasksSubmitted MINDFUL_GUARDED_BY(_mutex) = 0;
-    std::size_t _queuePeak MINDFUL_GUARDED_BY(_mutex) = 0;
-    std::uint64_t _busyMicros MINDFUL_GUARDED_BY(_mutex) = 0;
+    std::vector<std::thread> _workers;
 };
 
 } // namespace mindful::exec

@@ -224,8 +224,7 @@ SyntheticCortex::generate(std::size_t steps)
                     trace[t] += noise + lfp[t];
                 }
             }
-        },
-        "ni.cortex.channel_shard");
+        });
     return rec;
 }
 

@@ -51,8 +51,7 @@ QueryEngine::evaluateBatch(const std::vector<DesignQuery> &requests)
             }
             addIfEnabled(_queries, range.end - range.begin);
             addIfEnabled(_hits, hits);
-        },
-        "serve.batch_shard");
+        });
     return results;
 }
 

@@ -196,7 +196,7 @@ TemplateSpikeSorter::train(const std::vector<Snippet> &snippets)
         attempt.inertia = inertia;
     };
 
-    exec::parallelFor(restarts, run_attempt, "signal.kmeans.restart");
+    exec::parallelFor(restarts, run_attempt);
 
     // Deterministic winner: strict < scanned in attempt order keeps
     // the lowest attempt index on inertia ties.

@@ -1,6 +1,7 @@
 /**
  * @file
- * ThreadPool unit tests: graceful shutdown under load, exception
+ * ThreadPool unit tests: how many helpers a parallelFor hands its
+ * job to, concurrent callers sharing the one job slot, exception
  * propagation through parallelFor, and deadlock-free nested
  * parallelism on pool workers.
  */
@@ -9,71 +10,101 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
+#include "obs/metrics.hh"
 
 namespace mindful::exec {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask)
+std::uint64_t
+poolTasks()
 {
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&] { ran.fetch_add(1); });
-        // Destructor drains the queue before joining.
-    }
-    EXPECT_EQ(ran.load(), 100);
+    return obs::MetricRegistry::global().counter("exec.pool.tasks").value();
 }
 
-TEST(ThreadPoolTest, ShutdownWhileBusyDrainsQueue)
+/** exec.pool.tasks added by one call of @p fn. */
+template <typename Fn>
+std::uint64_t
+helpersHandedOut(Fn &&fn)
 {
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        // Slow tasks keep both workers busy so most of the queue is
-        // still pending when the destructor runs; every task must
-        // still execute exactly once.
-        for (int i = 0; i < 32; ++i) {
-            pool.submit([&] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                ran.fetch_add(1);
+    const std::uint64_t before = poolTasks();
+    fn();
+    return poolTasks() - before;
+}
+
+TEST(ThreadPoolTest, HandsAJobToMinThreadsShardsMinusOneHelpers)
+{
+    auto empty = [](std::size_t) {};
+    ThreadPool::setGlobalThreadCount(4);
+    EXPECT_EQ(helpersHandedOut([&] { parallelFor(16, empty); }), 3u);
+    EXPECT_EQ(helpersHandedOut([&] { parallelFor(2, empty); }), 1u);
+    EXPECT_EQ(helpersHandedOut([&] { parallelFor(1, empty); }), 0u);
+    // Nested calls, from workers and from the caller (whose own job
+    // holds the slot), run alone: only the outer call hands out work.
+    EXPECT_EQ(helpersHandedOut([&] {
+                  parallelFor(4, [&](std::size_t) { parallelFor(16, empty); });
+              }),
+              3u);
+    ThreadPool::setGlobalThreadCount(1);
+    EXPECT_EQ(helpersHandedOut([&] { parallelFor(16, empty); }), 0u);
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryShardOnce)
+{
+    // Two callers race for the one job slot; the one that finds it
+    // taken drains its own job, so neither loses nor repeats a shard.
+    ThreadPool::setGlobalThreadCount(4);
+    constexpr std::size_t kShards = 64;
+    for (int round = 0; round < 10; ++round) {
+        std::vector<std::atomic<int>> runs_a(kShards), runs_b(kShards);
+        auto call = [](std::vector<std::atomic<int>> &runs) {
+            parallelFor(kShards, [&](std::size_t shard) {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+                runs[shard].fetch_add(1);
             });
+        };
+        std::thread a(call, std::ref(runs_a));
+        std::thread b(call, std::ref(runs_b));
+        a.join();
+        b.join();
+        for (std::size_t shard = 0; shard < kShards; ++shard) {
+            EXPECT_EQ(runs_a[shard].load(), 1) << "shard " << shard;
+            EXPECT_EQ(runs_b[shard].load(), 1) << "shard " << shard;
         }
     }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPoolTest, CountsSubmissions)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    while (ran.load() < 10)
-        std::this_thread::yield();
-    EXPECT_EQ(pool.tasksSubmitted(), 10u);
-    EXPECT_GE(pool.queueDepthPeak(), 1u);
+    ThreadPool::setGlobalThreadCount(0);
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadDistinguishesCallers)
 {
     EXPECT_FALSE(ThreadPool::onWorkerThread());
-    ThreadPool pool(1);
-    std::atomic<bool> on_worker{false};
-    std::atomic<bool> done{false};
-    pool.submit([&] {
-        on_worker.store(ThreadPool::onWorkerThread());
-        done.store(true);
+    ThreadPool::setGlobalThreadCount(4);
+    constexpr std::size_t kShards = 16;
+    std::vector<std::thread::id> ran_on(kShards);
+    std::vector<char> on_worker(kShards, 0);
+    parallelFor(kShards, [&](std::size_t shard) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ran_on[shard] = std::this_thread::get_id();
+        on_worker[shard] = ThreadPool::onWorkerThread();
     });
-    while (!done.load())
-        std::this_thread::yield();
-    EXPECT_TRUE(on_worker.load());
+    ThreadPool::setGlobalThreadCount(0);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t worker_shards = 0;
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+        EXPECT_EQ(on_worker[shard] != 0, ran_on[shard] != caller)
+            << "shard " << shard;
+        worker_shards += on_worker[shard];
+    }
+    EXPECT_GE(worker_shards, 1u);
     EXPECT_FALSE(ThreadPool::onWorkerThread());
 }
 
@@ -101,6 +132,23 @@ TEST(ParallelForTest, PropagatesExceptions)
     ThreadPool::setGlobalThreadCount(0);
 }
 
+TEST(ParallelForTest, EveryShardRunsWhenOneThrows)
+{
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreadCount(threads);
+        std::atomic<int> ran{0};
+        EXPECT_THROW(parallelFor(8,
+                                 [&](std::size_t shard) {
+                                     ran.fetch_add(1);
+                                     if (shard == 2)
+                                         throw std::runtime_error("2");
+                                 }),
+                     std::runtime_error);
+        EXPECT_EQ(ran.load(), 8) << threads << " threads";
+    }
+    ThreadPool::setGlobalThreadCount(0);
+}
+
 TEST(ParallelForTest, PropagatesLowestShardExceptionDeterministically)
 {
     for (unsigned threads : {1u, 4u}) {
@@ -113,8 +161,8 @@ TEST(ParallelForTest, PropagatesLowestShardExceptionDeterministically)
             });
             FAIL() << "expected an exception";
         } catch (const std::runtime_error &e) {
-            // All shards run to completion; the lowest failed index
-            // wins regardless of scheduling.
+            // Both failing shards run (every shard does); the lowest
+            // failed index wins regardless of scheduling.
             EXPECT_STREQ(e.what(), "shard 2");
         }
     }
@@ -126,8 +174,8 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock)
     ThreadPool::setGlobalThreadCount(2);
     std::atomic<int> inner_runs{0};
     parallelFor(4, [&](std::size_t) {
-        // A nested parallelFor on a pool worker must not wait on the
-        // (possibly fully occupied) pool; it runs inline.
+        // A nested parallelFor must not wait on the (possibly fully
+        // occupied) pool; it drains its own shards.
         parallelFor(4, [&](std::size_t) { inner_runs.fetch_add(1); });
     });
     EXPECT_EQ(inner_runs.load(), 16);

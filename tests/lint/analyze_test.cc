@@ -145,7 +145,7 @@ TEST(AnalyzeHotPath, NamedLambdaPassedByNameIsARoot)
                 std::vector<int> v(3, 0);
                 sink[shard] = v[0];
             };
-            exec::parallelFor(n, body, "fixture.byname");
+            exec::parallelFor(n, body);
         }
     )fix"}});
     ASSERT_EQ(findings.size(), 1u);
@@ -323,7 +323,7 @@ TEST(AnalyzeRngFlow, UnforkedDrawInByNameRootEscapesLexicalCheck)
             auto body = [&](std::size_t shard) {
                 sink[shard] = rng.gaussian(0.0, 1.0);
             };
-            exec::parallelFor(n, body, "fixture.noisy");
+            exec::parallelFor(n, body);
         }
     )fix");
     EXPECT_TRUE(checkRngDiscipline(source).empty());
@@ -333,7 +333,7 @@ TEST(AnalyzeRngFlow, UnforkedDrawInByNameRootEscapesLexicalCheck)
             auto body = [&](std::size_t shard) {
                 sink[shard] = rng.gaussian(0.0, 1.0);
             };
-            exec::parallelFor(n, body, "fixture.noisy");
+            exec::parallelFor(n, body);
         }
     )fix"}});
     ASSERT_EQ(findings.size(), 1u);

@@ -2450,14 +2450,11 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         contents[i] = buffer.str();
         facts[i] = analyzeFile(scanSource(files[i].path, contents[i]));
     };
-    // One task per TU on the pool we analyze; every result lands in
+    // One shard per TU on the pool we analyze; every result lands in
     // its own index slot, so assembly order is file order regardless
     // of scheduling.
-    if (files.size() > 1)
-        // analyze: hot-ok(parse fan-out is setup I/O, not a kernel)
-        exec::parallelFor(files.size(), parse_one, "analyze.parse");
-    else if (files.size() == 1)
-        parse_one(0);
+    // analyze: hot-ok(parse fan-out is setup I/O, not a kernel)
+    exec::parallelFor(files.size(), parse_one);
 
     for (std::size_t i = 0; i < files.size(); ++i) {
         if (!errors[i].empty()) {
