@@ -8,9 +8,8 @@
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
- *                       hot-tier collector drains per-thread rings
- *                       into FILE incrementally; cold TraceSpans join
- *                       the same stream, memory stays bounded)
+ *                       collector drains per-thread rings into FILE
+ *                       incrementally, memory stays bounded)
  *   --metrics-out FILE  write a metric-registry snapshot as CSV
  * and the execution flag:
  *   --threads N         size the process-wide thread pool (0 = auto)
@@ -38,7 +37,6 @@
 #include "obs/collector.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::bench {
 
@@ -78,9 +76,10 @@ struct ObsOptions
 /**
  * Extract --trace-out FILE / --metrics-out FILE / --threads N (also
  * the --flag=VALUE spelling) and *remove them from argv* so
- * downstream parsers (e.g. google-benchmark) never see them. Enables
- * span tracing when --trace-out is present and sizes the process-wide
- * thread pool when --threads is present (0 = hardware concurrency).
+ * downstream parsers (e.g. google-benchmark) never see them. Starts
+ * the trace collector when --trace-out is present and sizes the
+ * process-wide thread pool when --threads is present (0 = hardware
+ * concurrency).
  */
 inline ObsOptions
 parseObsOptions(int &argc, char **argv)
@@ -132,11 +131,10 @@ parseObsOptions(int &argc, char **argv)
         obs::setManifestThreadCount(exec::ThreadPool::globalThreadCount());
 
     if (!options.traceOut.empty()) {
-        obs::TraceSession::global().setEnabled(true);
         // Streaming mode: open the sink now and let the collector
         // drain into it for the whole run. Pool workers register
         // their rings on startup; the main thread registers here so
-        // inline (single-shard) hot spans are captured too.
+        // its call-level and inline shard spans are captured too.
         options.traceStream =
             std::make_shared<std::ofstream>(options.traceOut);
         if (!*options.traceStream)

@@ -427,7 +427,8 @@ main(int argc, char **argv)
         {"fig12_optimizations_soc1",
          timeMs(1, [] { core::experiments::fig12Table(1); })});
 
-    // --- Thread-scaling sweep (parallel-heavy kernels only) ----------
+    // --- Thread-scaling sweep (sharded kernels only) -----------------
+    // The SOR sweep is serial, so bioheat_fine has no row here.
     std::vector<ScalingPoint> scaling;
     if (!quick) {
         const unsigned initial = exec::ThreadPool::global().threadCount();
@@ -435,17 +436,11 @@ main(int argc, char **argv)
         Rng rng(31);
         conv.initializeWeights(rng);
         dnn::Tensor x = makeInput({66, 64, 8});
-        thermal::BioHeatSolver fine_solver({}, fine);
-        Power p = Power::milliwatts(57.6);
-        Area a = Area::squareMillimetres(144.0);
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             exec::ThreadPool::setGlobalThreadCount(threads);
             scaling.push_back({"conv_dncnn_block1", threads,
                                timeMs(fast_reps,
                                       [&] { conv.forward(x); })});
-            scaling.push_back(
-                {"bioheat_fine", threads,
-                 timeMs(2, [&] { fine_solver.solve(p, a); })});
         }
         exec::ThreadPool::setGlobalThreadCount(initial);
     }

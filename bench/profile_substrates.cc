@@ -11,13 +11,14 @@
  * chrome://tracing) with nested spans from the comm, accel, dnn, and
  * core subsystems, and a CSV snapshot of every registered metric.
  *
- * The A/B phases run the identical workload twice: first with span
- * tracing runtime-disabled — the same fast path a MINDFUL_OBS_DISABLED
- * build compiles to, one relaxed atomic load per would-be span — then
- * with tracing enabled. The reported overhead percentage is the
- * harness's own regression gate: instrumented hot loops must stay
- * within a few percent of the disabled baseline, which they do because
- * all recording happens at call granularity, never per sample.
+ * The A/B phases run the identical workload twice: first with the
+ * trace collector stopped — every span is one relaxed atomic load,
+ * the runtime counterpart of a MINDFUL_OBS_DISABLED build — then with
+ * it streaming (into the --trace-out file, or a count-only sink when
+ * none is given). The reported overhead percentage is the harness's
+ * own regression gate: instrumented hot loops must stay within a few
+ * percent of the stopped baseline, which they do because all
+ * recording happens at call or shard granularity, never per sample.
  */
 
 #include <chrono>
@@ -33,8 +34,8 @@
 #include "core/experiments.hh"
 #include "core/soc_catalog.hh"
 #include "dnn/models.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace {
 
@@ -52,7 +53,7 @@ nowSeconds()
 void
 runCommWorkload()
 {
-    MINDFUL_TRACE_SCOPE("bench", "profile.comm");
+    MINDFUL_CALL_SPAN(span, "bench", "profile.comm");
     comm::AwgnChannelSimulator qam(4);
     for (double ebn0_db : {4.0, 8.0, 12.0})
         qam.measureBer(fromDecibels(ebn0_db), 100000);
@@ -65,7 +66,7 @@ runCommWorkload()
 void
 runAccelWorkload()
 {
-    MINDFUL_TRACE_SCOPE("bench", "profile.accel");
+    MINDFUL_CALL_SPAN(span, "bench", "profile.accel");
     auto net = dnn::buildSpeechMlp(256);
     Rng rng(11);
     net.initializeWeights(rng);
@@ -86,7 +87,7 @@ runAccelWorkload()
 void
 runCoreWorkload()
 {
-    MINDFUL_TRACE_SCOPE("bench", "profile.core");
+    MINDFUL_CALL_SPAN(span, "bench", "profile.core");
     core::ClosedLoopStudy study(
         core::ImplantModel(core::socById(1)),
         core::experiments::speechModelBuilder(
@@ -113,21 +114,23 @@ main(int argc, char **argv)
 {
     bool csv = bench::csvOnly(argc, argv);
     auto obs = bench::parseObsOptions(argc, argv);
-    auto &session = obs::TraceSession::global();
-    const bool want_trace = !obs.traceOut.empty();
+    auto &collector = obs::TraceCollector::global();
+    collector.registerCurrentThread();
 
-    // --- Phase A: baseline, span tracing disabled. -------------------
-    session.setEnabled(false);
+    // --- Phase A: baseline, collector stopped. -----------------------
+    // --trace-out started it already; stop it here and stream phase B
+    // into a freshly truncated file.
+    collector.stop();
     timedWorkload(); // warm caches so A and B see the same machine
     double baseline = timedWorkload();
 
-    // --- Phase B: instrumented, spans recorded. ----------------------
-    session.clear();
-    session.setEnabled(true);
+    // --- Phase B: instrumented, collector streaming. -----------------
+    if (!obs.traceOut.empty())
+        obs.traceStream = std::make_shared<std::ofstream>(obs.traceOut);
+    collector.start(obs.traceStream.get()); // null: count-only sink
     double instrumented = timedWorkload();
-    session.setEnabled(want_trace);
-    if (!want_trace)
-        session.clear();
+    const obs::CollectorTotals totals = collector.stop();
+    obs.traceOut.clear(); // footer written: finalizeObs skips the trace
 
     double overhead_pct =
         baseline > 0.0 ? (instrumented - baseline) / baseline * 100.0
@@ -136,12 +139,12 @@ main(int argc, char **argv)
     MINDFUL_METRIC_GAUGE("bench.profile.instrumented_s", instrumented);
     MINDFUL_METRIC_GAUGE("bench.profile.overhead_pct", overhead_pct);
 
-    Table ab("Instrumentation A/B: runtime-disabled (the "
-             "MINDFUL_OBS_DISABLED fast path) vs tracing enabled");
+    Table ab("Instrumentation A/B: collector stopped (the "
+             "MINDFUL_OBS_DISABLED fast path) vs streaming");
     ab.setHeader({"phase", "wall time (ms)", "trace events"});
-    ab.addRow({"disabled", Table::formatNumber(baseline * 1e3, 2), "0"});
-    ab.addRow({"enabled", Table::formatNumber(instrumented * 1e3, 2),
-               std::to_string(session.eventCount())});
+    ab.addRow({"stopped", Table::formatNumber(baseline * 1e3, 2), "0"});
+    ab.addRow({"streaming", Table::formatNumber(instrumented * 1e3, 2),
+               std::to_string(totals.emitted + totals.dropped)});
     bench::emit(ab, csv);
 
     Table verdict("Overhead");

@@ -17,6 +17,11 @@
  * Kalman decoder (the paper's traditional baseline) runs alongside
  * to show the same data stream supports classic intent decoding.
  *
+ * A per-layer table then sets each decoder layer's modelled cost
+ * (Eq. 10 MACs, Eq. 11 cycles, cycles x t_MAC) next to the host time
+ * the simulator measured for it over the same inferences
+ * (SimulationResult::layerHostNanos), with no trace file.
+ *
  * Build & run:  ./build/examples/speech_pipeline
  */
 
@@ -101,6 +106,8 @@ main()
     std::uint64_t inferences = 0;
     Energy mac_energy = Energy::joules(0.0);
     Time worst_latency = Time::seconds(0.0);
+    std::vector<std::uint64_t> layer_cycles;
+    std::vector<std::uint64_t> layer_host_ns(network.layerCount(), 0);
     comm::Packetizer label_packetizer({10});
 
     dnn::Tensor input(network.inputShape());
@@ -118,6 +125,9 @@ main()
         mac_energy += result.energy;
         if (result.latency > worst_latency)
             worst_latency = result.latency;
+        layer_cycles = result.layerCycles;
+        for (std::size_t i = 0; i < layer_host_ns.size(); ++i)
+            layer_host_ns[i] += result.layerHostNanos[i];
 
         // Quantize the 40 label probabilities to 10 bits and frame.
         std::vector<std::uint32_t> labels;
@@ -188,6 +198,27 @@ main()
               << Table::formatNumber(raw_rate / decoded_rate, 0)
               << "x fewer bits with on-implant decoding\n";
     std::cout << "Kalman baseline intent correlation (held-out): "
-              << Table::formatNumber(corr, 2) << "\n";
+              << Table::formatNumber(corr, 2) << "\n\n";
+
+    const auto census = network.census();
+    const double mac_us = accel::nangate45().macTime.inMicroseconds();
+    Table layers("Decoder layers on " + std::to_string(bound.macUnits) +
+                 " PEs: modelled vs host time (mean of " +
+                 std::to_string(inferences) + " inferences)");
+    layers.setHeader({"layer", "Eq. 10 MACs", "Eq. 11 cycles",
+                      "modelled (us)", "host (us)"});
+    for (std::size_t i = 0; i < network.layerCount(); ++i) {
+        layers.addRow(
+            {network.layer(i).name(),
+             std::to_string(census[i].totalMacs()),
+             std::to_string(layer_cycles[i]),
+             Table::formatNumber(
+                 static_cast<double>(layer_cycles[i]) * mac_us, 3),
+             Table::formatNumber(static_cast<double>(layer_host_ns[i]) *
+                                     1e-3 /
+                                     static_cast<double>(inferences),
+                                 3)});
+    }
+    layers.print(std::cout);
     return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -19,14 +20,14 @@ SimulationResult
 AcceleratorSimulator::run(const dnn::Network &network,
                           const dnn::Tensor &input) const
 {
-    MINDFUL_TRACE_SPAN(run_span, "accel", "simulator.run");
-    run_span.arg("network", network.name())
-        .arg("mac_units", _config.macUnits);
+    MINDFUL_CALL_SPAN(run_span, "accel", "simulator.run");
 
     SimulationResult result;
     result.layerCycles.assign(network.layerCount(), 0);
+    result.layerHostNanos.assign(network.layerCount(), 0);
 
     dnn::Tensor activation = input;
+    std::uint64_t boundary = obs::traceNowNanos();
     for (std::size_t i = 0; i < network.layerCount(); ++i) {
         const dnn::Layer &layer = network.layer(i);
         const dnn::MacCensus census = layer.census(activation.shape());
@@ -35,13 +36,13 @@ AcceleratorSimulator::run(const dnn::Network &network,
         {
             MINDFUL_TRACE_SPAN(layer_span, "accel",
                                "layer." + layer.name());
-            layer_span.arg("index", static_cast<std::uint64_t>(i))
-                .arg("macs", census.totalMacs())
-                .arg("cycles", layer_cycles);
             activation = layer.forward(activation);
         }
+        const std::uint64_t layer_end = obs::traceNowNanos();
 
         result.layerCycles[i] = layer_cycles;
+        result.layerHostNanos[i] = layer_end - boundary;
+        boundary = layer_end;
         result.cycles += layer_cycles;
         result.macsExecuted += census.totalMacs();
     }
@@ -60,9 +61,6 @@ AcceleratorSimulator::run(const dnn::Network &network,
     MINDFUL_METRIC_COUNT("accel.sim.cycles", result.cycles);
     MINDFUL_METRIC_COUNT("accel.sim.macs", result.macsExecuted);
     MINDFUL_METRIC_GAUGE("accel.sim.utilization", result.utilization);
-    run_span.arg("cycles", result.cycles)
-        .arg("macs", result.macsExecuted)
-        .arg("utilization", result.utilization);
     return result;
 }
 

@@ -59,6 +59,14 @@ struct SimulationResult
 
     /** Per-layer cycle counts. */
     std::vector<std::uint64_t> layerCycles;
+
+    /**
+     * Measured host nanoseconds per layer, from the same run() as
+     * layerCycles: one clock read per layer boundary, so each entry
+     * covers that layer's census, forward pass and bookkeeping, and
+     * the entries sum to the span of the layer loop.
+     */
+    std::vector<std::uint64_t> layerHostNanos;
 };
 
 /** Results of streaming a batch through a pipelined accelerator. */

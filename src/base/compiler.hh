@@ -93,8 +93,6 @@
  *                  not steer control flow.
  *  - once_flag:    latched gates/config cells; relaxed or
  *                  acquire/release as the handoff requires.
- *  - seqlock:      reserved for the streaming pipeline's sequence
- *                  counters (acquire loads, release stores).
  *
  * The macro expands to nothing — it is a marker for the analyzer's
  * lexer, which also flags unannotated atomics, memory_order_consume,

@@ -12,7 +12,6 @@
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::comm {
 
@@ -128,10 +127,8 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
     // variance is N0 / 2.
     const double sigma = std::sqrt(0.5 / eb_n0_linear);
 
-    MINDFUL_TRACE_SPAN(span, "comm", "qam.measure_ber");
-    span.arg("bits_per_symbol", static_cast<std::uint64_t>(k))
-        .arg("ebn0_db", toDecibels(eb_n0_linear))
-        .arg("symbols", symbols);
+    MINDFUL_CALL_SPAN(span, "comm", "qam.measure_ber");
+    span.setArg(symbols);
 
     // Sharded Monte-Carlo: shard s simulates its fixed symbol range
     // on the independent stream fork(call * kBerShards + s). Error
@@ -190,7 +187,6 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
                              measurement.bitErrors);
     }
 #endif
-    span.arg("bit_errors", measurement.bitErrors);
     return measurement;
 }
 
@@ -210,8 +206,8 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
     const double sigma = std::sqrt(0.5 / eb_n0_linear);
     const double threshold = amplitude / 2.0;
 
-    MINDFUL_TRACE_SPAN(span, "comm", "ook.measure_ber");
-    span.arg("ebn0_db", toDecibels(eb_n0_linear)).arg("bits", bits);
+    MINDFUL_CALL_SPAN(span, "comm", "ook.measure_ber");
+    span.setArg(bits);
 
     // Same sharded decomposition as the QAM simulator: fixed shard
     // count, per-shard forked streams, exact integer reduction in
@@ -257,7 +253,6 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
                              measurement.bitErrors);
     }
 #endif
-    span.arg("bit_errors", measurement.bitErrors);
     return measurement;
 }
 

@@ -2,8 +2,8 @@
 
 #include "base/logging.hh"
 #include "dnn/tensor.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::core {
 
@@ -37,8 +37,8 @@ ClosedLoopStudy::evaluate(std::uint64_t channels) const
 {
     MINDFUL_ASSERT(channels > 0, "channel count must be positive");
 
-    MINDFUL_TRACE_SPAN(loop_span, "core", "closed_loop.evaluate");
-    loop_span.arg("channels", channels);
+    MINDFUL_CALL_SPAN(loop_span, "core", "closed_loop.evaluate");
+    loop_span.setArg(channels);
     MINDFUL_METRIC_COUNT("core.closed_loop.evaluations", 1);
 
     ClosedLoopPoint point;
@@ -47,24 +47,17 @@ ClosedLoopStudy::evaluate(std::uint64_t channels) const
     dnn::Network network = _decoder(channels);
 
     // --- Sense phase: acquisition window ahead of the decoder. ------
-    std::size_t window_samples;
-    {
-        MINDFUL_TRACE_SPAN(span, "core", "closed_loop.sense");
-        window_samples =
-            dnn::elementCount(network.inputShape()) /
-            std::max<std::size_t>(1, static_cast<std::size_t>(channels));
-        point.acquisitionLatency =
-            period(_config.applicationRate) *
-            static_cast<double>(
-                std::max<std::size_t>(1, window_samples));
-        point.sensingPower = _implant.sensingPower(channels);
-        span.arg("window_samples",
-                 static_cast<std::uint64_t>(window_samples));
-    }
+    const std::size_t window_samples =
+        dnn::elementCount(network.inputShape()) /
+        std::max<std::size_t>(1, static_cast<std::size_t>(channels));
+    point.acquisitionLatency =
+        period(_config.applicationRate) *
+        static_cast<double>(std::max<std::size_t>(1, window_samples));
+    point.sensingPower = _implant.sensingPower(channels);
 
     // --- Decode phase: accelerator sizing for the decoder DNN. ------
     {
-        MINDFUL_TRACE_SPAN(span, "core", "closed_loop.decode");
+        MINDFUL_CALL_SPAN(span, "core", "closed_loop.decode");
         // The decoder must keep up with the application sampling rate
         // (same Eq. 11-15 sizing as the open-loop study).
         accel::LowerBoundSolver solver(_config.mac);
@@ -72,18 +65,12 @@ ClosedLoopStudy::evaluate(std::uint64_t channels) const
                                        period(_config.applicationRate));
         point.decodeLatency = point.bound.latency;
         point.computePower = point.bound.power;
-        span.arg("mac_units", point.bound.macUnits)
-            .arg("decode_latency_us",
-                 point.decodeLatency.inMicroseconds());
+        span.setArg(point.bound.macUnits);
     }
 
     // --- Stimulate phase: actuation latency and power. --------------
-    {
-        MINDFUL_TRACE_SPAN(span, "core", "closed_loop.stimulate");
-        point.stimulationLatency = _stimulator.setupLatency;
-        point.stimulationPower = _stimulator.meanPower();
-        span.arg("sites", _stimulator.sites);
-    }
+    point.stimulationLatency = _stimulator.setupLatency;
+    point.stimulationPower = _stimulator.meanPower();
 
     point.loopLatency = point.acquisitionLatency + point.decodeLatency +
                         point.stimulationLatency;
@@ -111,9 +98,6 @@ ClosedLoopStudy::evaluate(std::uint64_t channels) const
                           point.loopLatency.inMicroseconds());
     MINDFUL_METRIC_RECORD("core.closed_loop.total_power_mw",
                           point.totalPower.inMilliwatts());
-    loop_span.arg("loop_latency_us", point.loopLatency.inMicroseconds())
-        .arg("meets_deadline",
-             std::string(point.meetsDeadline ? "true" : "false"));
     return point;
 }
 

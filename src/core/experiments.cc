@@ -7,8 +7,8 @@
 #include "core/soc_catalog.hh"
 #include "dnn/models.hh"
 #include "exec/parallel.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::core::experiments {
 
@@ -34,7 +34,7 @@ formatPercent(double fraction)
 Table
 table1()
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.table1");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.table1");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     Table table("Table 1: summary of implanted SoC designs");
     table.setHeader({"#", "SoC", "NI Type", "#Channels", "Area (mm^2)",
@@ -63,7 +63,7 @@ table1()
 std::vector<Fig4Row>
 fig4Rows()
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.fig4");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.fig4");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     thermal::PowerBudget budget;
     std::vector<Fig4Row> rows;
@@ -115,7 +115,7 @@ std::vector<CommSweepSeries>
 commCentricSweep(CommScalingStrategy strategy,
                  const std::vector<std::uint64_t> &channels)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.comm_sweep");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.comm_sweep");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     std::vector<CommSweepSeries> series;
     for (const auto &soc : wirelessSocs()) {
@@ -197,7 +197,7 @@ fig7Channels()
 std::vector<QamSeries>
 qamSweep(const std::vector<std::uint64_t> &channels, QamStudyConfig config)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.qam_sweep");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.qam_sweep");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     std::vector<QamSeries> series;
     for (const auto &soc : wirelessSocs()) {
@@ -214,7 +214,7 @@ qamSweep(const std::vector<std::uint64_t> &channels, QamStudyConfig config)
 QamSummary
 qamSummary(double efficiency, QamStudyConfig config)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.qam_summary");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.qam_summary");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     QamSummary summary;
     summary.efficiency = efficiency;
@@ -265,7 +265,7 @@ fig7Table()
 std::vector<Fig9Row>
 fig9Rows()
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.fig9");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.fig9");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     const accel::SynthesisModel model;
     const auto points = accel::SynthesisModel::paperDesignPoints();
@@ -331,7 +331,7 @@ fig10Channels()
 std::vector<DnnPowerSeries>
 dnnPowerSweep(SpeechModel model, const std::vector<std::uint64_t> &channels)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.dnn_power_sweep");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.dnn_power_sweep");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     std::vector<DnnPowerSeries> series;
     for (const auto &soc : wirelessSocs()) {
@@ -384,7 +384,7 @@ fig10Table(SpeechModel model)
 std::vector<PartitionGainRow>
 partitionGains(SpeechModel model)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.partition_gains");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.partition_gains");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     const auto socs = wirelessSocs();
     // One shard per SoC: the per-SoC binary searches over maxChannels
@@ -445,7 +445,7 @@ fig12Channels()
 std::vector<OptimizationSeries>
 optimizationSweep(int soc_id, SpeechModel model)
 {
-    MINDFUL_TRACE_SCOPE("core", "experiments.optimization_sweep");
+    MINDFUL_CALL_SPAN(span, "core", "experiments.optimization_sweep");
     MINDFUL_METRIC_COUNT("core.experiments.runs", 1);
     const SocDesign &soc = socById(soc_id);
     OptimizationStudy study{ImplantModel(soc), speechModelBuilder(model)};

@@ -6,7 +6,6 @@
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::dnn::gemm {
 namespace {
@@ -129,10 +128,8 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
 
     const std::uint64_t macs =
         static_cast<std::uint64_t>(m) * n * k;
-    MINDFUL_TRACE_SPAN(span, "dnn", "gemm");
-    span.arg("m", static_cast<std::uint64_t>(m))
-        .arg("n", static_cast<std::uint64_t>(n))
-        .arg("k", static_cast<std::uint64_t>(k));
+    MINDFUL_CALL_SPAN(span, "dnn", "gemm");
+    span.setArg(macs);
 
     const bool relu = epilogue == Epilogue::Relu;
     auto run = [&](std::size_t row_begin, std::size_t row_end) {

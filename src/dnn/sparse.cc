@@ -6,7 +6,6 @@
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::dnn::sparse {
 
@@ -144,10 +143,8 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
                    "spmm buffers must be non-null");
 
     const std::uint64_t macs = static_cast<std::uint64_t>(_nnz) * n;
-    MINDFUL_TRACE_SPAN(span, "dnn", "spmm");
-    span.arg("m", static_cast<std::uint64_t>(_rows))
-        .arg("n", static_cast<std::uint64_t>(n))
-        .arg("nnz", static_cast<std::uint64_t>(_nnz));
+    MINDFUL_CALL_SPAN(span, "dnn", "spmm");
+    span.setArg(macs);
 
     const bool relu = epilogue == gemm::Epilogue::Relu;
 

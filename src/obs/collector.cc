@@ -19,6 +19,36 @@ thread_local TraceRing *t_traceRing = nullptr;
 
 } // namespace detail
 
+namespace {
+
+/** ts/dur in microseconds with nanosecond decimals. */
+void
+writeMicros(std::ostream &os, std::uint64_t nanos)
+{
+    os << nanos / 1000 << '.' << static_cast<char>('0' + nanos / 100 % 10)
+       << static_cast<char>('0' + nanos / 10 % 10)
+       << static_cast<char>('0' + nanos % 10);
+}
+
+/** A complete ("ph":"X") trace_event up to its tid; caller closes it. */
+void
+writeSpanHead(std::ostream &os, const std::string &name,
+              const std::string &category, std::uint64_t start_nanos,
+              std::uint64_t duration_nanos, std::uint32_t thread_id)
+{
+    os << "\n  {\"name\": ";
+    writeJsonEscaped(os, name);
+    os << ", \"cat\": ";
+    writeJsonEscaped(os, category);
+    os << ", \"ph\": \"X\", \"ts\": ";
+    writeMicros(os, start_nanos);
+    os << ", \"dur\": ";
+    writeMicros(os, duration_nanos);
+    os << ", \"pid\": 1, \"tid\": " << thread_id;
+}
+
+} // namespace
+
 TraceCollector &
 TraceCollector::global()
 {
@@ -184,20 +214,8 @@ TraceCollector::emitHotLocked(const PodEvent &event,
         os << ",";
     _firstEvent = false;
     const auto &site = _sites[event.siteId];
-    os << "\n  {\"name\": ";
-    writeJsonEscaped(os, site.second);
-    os << ", \"cat\": ";
-    writeJsonEscaped(os, site.first);
-    if (event.kind == PodEvent::kInstant) {
-        os << ", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
-        writeTraceMicros(os, event.startNanos);
-    } else {
-        os << ", \"ph\": \"X\", \"ts\": ";
-        writeTraceMicros(os, event.startNanos);
-        os << ", \"dur\": ";
-        writeTraceMicros(os, event.durationNanos);
-    }
-    os << ", \"pid\": 1, \"tid\": " << thread_id;
+    writeSpanHead(os, site.second, site.first, event.startNanos,
+                  event.durationNanos, thread_id);
     if (event.hasArg != 0)
         os << ", \"args\": {\"v\": " << event.arg << "}";
     os << "}";
@@ -212,8 +230,9 @@ TraceCollector::emitColdLocked(const TraceEvent &event)
     if (!_firstEvent)
         os << ",";
     _firstEvent = false;
-    os << "\n  ";
-    writeTraceEventJson(os, event);
+    writeSpanHead(os, event.name, event.category, event.startNanos,
+                  event.durationNanos, event.threadId);
+    os << "}";
 }
 
 std::uint64_t

@@ -1,16 +1,13 @@
 /**
  * @file
- * Streaming trace collector: the hot tier of the tracer.
+ * Streaming trace collector: the one span path of the library.
  *
- * The cold tier (obs/trace.hh) buffers string-carrying TraceEvents
- * under a mutex and writes one JSON document at the end — right for
- * call-granularity spans, banned inside parallelFor shard bodies by
- * mindful-analyze. The hot tier splits recording from formatting:
+ * Recording is split from formatting:
  *
  *  - each participating thread registers ONE TraceRing up front
  *    (registerCurrentThread; the exec thread pool does this for its
- *    workers). Span names are interned to TraceSite ids at setup
- *    time via site();
+ *    workers, bench_util for the main thread under --trace-out).
+ *    Span names are interned to TraceSite ids via site();
  *  - a HotSpan records by stamping two clock reads and pushing one
  *    32-byte PodEvent into its thread's ring — no lock, no
  *    allocation, no string. A full ring drops the event and counts
@@ -22,9 +19,15 @@
  *    manifest (obs/manifest.hh) plus emitted/dropped totals to the
  *    file footer, and returns those totals.
  *
- * While the collector is streaming, cold-tier spans recorded into
- * TraceSession::global() are forwarded into the same stream (via
- * submitCold), so one timeline holds both tiers.
+ * Two macros open a HotSpan. Call-level code writes
+ * MINDFUL_CALL_SPAN(span, "dnn", "gemm"), which interns its site once
+ * into a function-local static; parallelFor shard bodies hoist the
+ * site out of the body and write MINDFUL_HOT_SPAN(span, site), which
+ * mindful-analyze certifies lock- and allocation-free.
+ *
+ * While the collector is streaming, the one remaining cold-tier span
+ * (obs/trace.hh: the simulator's per-layer span) is forwarded into
+ * the same stream via submitCold, so one timeline holds every span.
  *
  * Contracts: the sink stream must outlive stop(); totals are exact
  * once producers have quiesced (joined, or parallelFor returned)
@@ -97,7 +100,8 @@ class TraceCollector
 
     /**
      * Intern a (category, name) pair. Idempotent; takes a lock —
-     * call at setup time, never inside the measured region.
+     * call once per site (a static, or MINDFUL_CALL_SPAN), never per
+     * recorded span.
      */
     TraceSite site(const std::string &category, const std::string &name);
 
@@ -148,7 +152,7 @@ class TraceCollector
      */
     void setDrainPaused(bool paused);
 
-    /** Forward one cold-tier event into the stream (TraceSession). */
+    /** Forward the cold per-layer span into the stream (TraceSession). */
     void submitCold(TraceEvent event);
 
     /** Events streamed so far this session (approximate while live). */
@@ -226,7 +230,6 @@ class HotSpan
         event.durationNanos = traceNowNanos() - _startNanos;
         event.arg = _arg;
         event.siteId = _siteId;
-        event.kind = PodEvent::kSpan;
         event.hasArg = _hasArg;
         _ring->tryPush(event);
     }
@@ -251,23 +254,43 @@ class HotSpan
     std::uint64_t _startNanos = 0;
     std::uint64_t _arg = 0;
     std::uint32_t _siteId = 0;
-    std::uint16_t _hasArg = 0;
+    std::uint32_t _hasArg = 0;
 };
 
 } // namespace mindful::obs
 
 /**
- * Open a named hot-tier span over a pre-resolved TraceSite:
- *   MINDFUL_HOT_SPAN(shard_span, site);
+ * The two ways to open a HotSpan (compiled to a NullSpan under
+ * MINDFUL_OBS_DISABLED):
+ *
+ *   MINDFUL_CALL_SPAN(span, "dnn", "gemm");  // call-level code
+ *   span.setArg(macs);
+ *
+ * interns its TraceSite on the first execution into a function-local
+ * static (one lock, once), then costs what a HotSpan costs;
+ *
+ *   MINDFUL_HOT_SPAN(shard_span, site);      // parallelFor shard body
  *   shard_span.setArg(rows);
- * Compiles to a NullSpan under MINDFUL_OBS_DISABLED.
+ *
+ * records over a site hoisted out of the body, the form
+ * mindful-analyze certifies for shard bodies and streaming loops.
  */
 #ifndef MINDFUL_OBS_DISABLED
+
+#define MINDFUL_CALL_SPAN(var, category, name) \
+    ::mindful::obs::HotSpan var([]() { \
+        static const ::mindful::obs::TraceSite site = \
+            ::mindful::obs::TraceCollector::global().site((category), \
+                                                          (name)); \
+        return site; \
+    }())
 
 #define MINDFUL_HOT_SPAN(var, site) ::mindful::obs::HotSpan var((site))
 
 #else
 
+#define MINDFUL_CALL_SPAN(var, category, name) \
+    [[maybe_unused]] ::mindful::obs::NullSpan var
 #define MINDFUL_HOT_SPAN(var, site) \
     [[maybe_unused]] ::mindful::obs::NullSpan var
 

@@ -1,15 +1,13 @@
 /**
  * @file
- * Fixed-size POD trace event for the lock-free hot-path tier.
+ * Fixed-size POD trace event: what every HotSpan records.
  *
- * The cold tier (TraceSession/TraceSpan) carries strings and grows a
- * vector under a mutex — fine at call granularity, banned inside
- * parallelFor shard bodies by mindful-analyze's hot-path check. The
- * hot tier records one PodEvent per span into a per-thread SPSC ring
- * (obs/ring.hh): no allocation, no lock, no string. Names are
- * interned once at setup time into TraceSite ids (obs/collector.hh);
+ * Call-level spans (MINDFUL_CALL_SPAN) and shard-body spans
+ * (MINDFUL_HOT_SPAN) both push one 32-byte PodEvent per span into a
+ * per-thread SPSC ring (obs/ring.hh): no allocation, no lock, no
+ * string. Names are interned into TraceSite ids (obs/collector.hh);
  * the background collector resolves them back while streaming
- * Chrome trace_event JSON.
+ * Chrome trace_event JSON. Every event is a complete ("ph":"X") span.
  */
 
 #ifndef MINDFUL_OBS_EVENT_HH
@@ -19,26 +17,22 @@
 
 namespace mindful::obs {
 
-/** One hot-path trace record. Plain data, copied into ring slots. */
+/** One hot-path span record. Plain data, copied into ring slots. */
 struct PodEvent
 {
-    enum Kind : std::uint16_t {
-        kSpan = 0,    //!< complete event ("ph":"X")
-        kInstant = 1, //!< zero-duration marker ("ph":"i")
-    };
-
     std::uint64_t startNanos = 0; //!< since the process trace epoch
     std::uint64_t durationNanos = 0;
-    std::uint64_t arg = 0; //!< optional integer payload (shard id, rows)
+    std::uint64_t arg = 0; //!< optional integer payload (rows, MACs)
     std::uint32_t siteId = 0;
-    std::uint16_t kind = kSpan;
-    std::uint16_t hasArg = 0;
+    std::uint32_t hasArg = 0;
 };
+
+static_assert(sizeof(PodEvent) == 32, "one ring slot is 32 bytes");
 
 /**
  * Monotonic nanoseconds since the process trace epoch — the same
- * epoch TraceSession uses, so hot-tier and cold-tier timestamps line
- * up on one timeline. Defined in trace.cc.
+ * epoch TraceSpan stamps, so the per-layer cold span lines up with
+ * the hot spans on one timeline. Defined in trace.cc.
  */
 std::uint64_t traceNowNanos();
 

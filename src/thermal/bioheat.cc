@@ -6,8 +6,8 @@
 #include <numbers>
 
 #include "base/logging.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::thermal {
 
@@ -324,9 +324,8 @@ BioHeatSolver::solveProfile(Power total, Area implant_area,
 {
     auto grid = discretize(_tissue, _config, total, implant_area, profile);
 
-    MINDFUL_TRACE_SPAN(span, "thermal", "sor.solve");
-    span.arg("rows", static_cast<std::uint64_t>(grid.rows))
-        .arg("cols", static_cast<std::uint64_t>(grid.cols));
+    MINDFUL_CALL_SPAN(span, "thermal", "sor.solve");
+    span.setArg(grid.rows * grid.cols);
 
     std::vector<double> temp(grid.rows * grid.cols, 0.0);
     RedBlackSweep sweep(grid, temp);
@@ -368,9 +367,8 @@ BioHeatSolver::solveProfileReference(
 {
     auto grid = discretize(_tissue, _config, total, implant_area, profile);
 
-    MINDFUL_TRACE_SPAN(span, "thermal", "sor.solve_reference");
-    span.arg("rows", static_cast<std::uint64_t>(grid.rows))
-        .arg("cols", static_cast<std::uint64_t>(grid.cols));
+    MINDFUL_CALL_SPAN(span, "thermal", "sor.solve_reference");
+    span.setArg(grid.rows * grid.cols);
 
     const std::size_t rows = grid.rows;
     const std::size_t cols = grid.cols;

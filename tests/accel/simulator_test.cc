@@ -1,14 +1,16 @@
 /**
  * @file
  * PE-array simulator tests: functional equivalence with the
- * reference forward pass (with and without input dropout) and
- * consistency with the analytical latency model, across a
- * parameterized sweep of PE counts.
+ * reference forward pass (with and without input dropout),
+ * consistency with the analytical latency model across a
+ * parameterized sweep of PE counts, and per-layer host time reported
+ * by the same run.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -185,6 +187,26 @@ TEST(SimulatorTest, PerLayerCyclesReported)
     for (auto c : result.layerCycles)
         total += c;
     EXPECT_EQ(total, result.cycles);
+}
+
+TEST(SimulatorTest, PerLayerHostTimeFitsInsideTheCall)
+{
+    auto net = makeMlp();
+    AcceleratorSimulator sim({8, nangate45()});
+    const auto input = makeInput(32);
+    const auto start = std::chrono::steady_clock::now();
+    auto result = sim.run(net, input);
+    const auto wall = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(result.layerHostNanos.size(), net.layerCount());
+    ASSERT_EQ(result.layerHostNanos.size(), result.layerCycles.size());
+    EXPECT_GT(result.layerHostNanos[0], 0u); // a 32x24 dense layer
+    std::uint64_t total = 0;
+    for (auto ns : result.layerHostNanos)
+        total += ns;
+    EXPECT_LE(total, static_cast<std::uint64_t>(
+                         std::chrono::duration_cast<
+                             std::chrono::nanoseconds>(wall)
+                             .count()));
 }
 
 TEST(SimulatorTest, EnergyUsesTechnologyParameters)

@@ -820,31 +820,6 @@ TEST(AnalyzeAtomics, OnceFlagRejectsArithmetic)
     EXPECT_EQ(countCheck(findings, "atomics-discipline"), 1u);
 }
 
-TEST(AnalyzeAtomics, SeqlockSequenceOrders)
-{
-    auto findings = analyze({{"core/fixture.hh", R"fix(
-        struct Seq {
-            MINDFUL_ATOMIC_ROLE(seqlock)
-            std::atomic<std::uint32_t> _seq{0};
-        };
-        std::uint32_t beginRead(Seq &s)
-        {
-            return s._seq.load(std::memory_order_relaxed);
-        }
-        void beginWrite(Seq &s)
-        {
-            s._seq.fetch_add(1, std::memory_order_acq_rel);
-        }
-        void endWrite(Seq &s, std::uint32_t seq)
-        {
-            s._seq.store(seq + 2, std::memory_order_release);
-        }
-    )fix"}});
-    EXPECT_TRUE(hasFinding(findings, "atomics-discipline",
-                           "must be acquire"));
-    EXPECT_EQ(countCheck(findings, "atomics-discipline"), 1u);
-}
-
 TEST(AnalyzeAtomics, AtomicOkSuppressesWithReason)
 {
     auto findings = analyze({{"serve/fixture.cc", R"fix(
@@ -1092,6 +1067,24 @@ TEST(AnalyzeRealtime, ColdTierTracingInStreamingLoop)
         "starts a cold-tier trace span via MINDFUL_TRACE_SPAN"));
     EXPECT_TRUE(
         hasFinding(findings, "realtime-loop", "MINDFUL_HOT_"));
+}
+
+TEST(AnalyzeRealtime, CallSpanInStreamingLoopIsAFinding)
+{
+    auto findings = analyze({{"obs/fixture.cc", R"fix(
+        void drain(Ring *ring)
+        {
+            Event event;
+            MINDFUL_RT_LOOP("fixture.drain")
+            while (ring->tryPop(event)) {
+                MINDFUL_CALL_SPAN(span, "obs", "fixture.pop");
+            }
+        }
+    )fix"}});
+    ASSERT_EQ(countCheck(findings, "realtime-loop"), 1u);
+    EXPECT_TRUE(hasFinding(
+        findings, "realtime-loop",
+        "interns a trace site by name via MINDFUL_CALL_SPAN"));
 }
 
 TEST(AnalyzeRealtime, HotTierHandlesAreStreamingLegal)

@@ -3,8 +3,9 @@
  * MINDFUL_OBS_DISABLED build test. This file is compiled into its own
  * executable with the macro defined (see tests/CMakeLists.txt), so it
  * verifies both that instrumented code still compiles in that
- * configuration and that every MINDFUL_TRACE_* / MINDFUL_METRIC_* /
- * MINDFUL_HOT_SPAN macro degrades to a genuine no-op: nothing reaches
+ * configuration and that every span macro (MINDFUL_CALL_SPAN,
+ * MINDFUL_HOT_SPAN, MINDFUL_TRACE_SPAN) and MINDFUL_METRIC_* macro
+ * degrades to a genuine no-op: nothing reaches
  * the global trace session, metric registry, or trace collector even
  * when all of them are explicitly enabled.
  */
@@ -27,18 +28,23 @@ namespace {
 
 TEST(ObsDisabledTest, TraceMacrosRecordNothing)
 {
+    auto &collector = TraceCollector::global();
+    collector.registerCurrentThread();
     TraceSession::global().clear();
     TraceSession::global().setEnabled(true);
+    collector.start(nullptr);
     {
-        MINDFUL_TRACE_SCOPE("test", "scope");
-        MINDFUL_TRACE_SPAN(span, "test", "span");
+        MINDFUL_CALL_SPAN(span, "test", "call_span");
         // The null span keeps the instrumented call sites compiling.
-        span.arg("label", std::string("x"))
-            .arg("ratio", 0.5)
-            .arg("count", std::uint64_t{7});
+        span.setArg(std::uint64_t{7});
         EXPECT_FALSE(span.active());
+        MINDFUL_TRACE_SPAN(layer_span, "test", "layer.span");
+        EXPECT_FALSE(layer_span.active());
     }
-    EXPECT_EQ(TraceSession::global().eventCount(), 0u);
+    CollectorTotals totals = collector.stop();
+    EXPECT_EQ(totals.emitted, 0u);
+    EXPECT_EQ(totals.dropped, 0u);
+    EXPECT_TRUE(TraceSession::global().events().empty());
     TraceSession::global().setEnabled(false);
 }
 

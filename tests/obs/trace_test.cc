@@ -1,8 +1,9 @@
 /**
  * @file
- * Tracer tests: span recording, nesting, runtime gating, argument
- * capture, and Chrome trace_event JSON well-formedness (validated by
- * parsing the emitted text back with a minimal JSON parser).
+ * Tracer tests: cold-span recording, nesting and runtime gating, the
+ * call-level MINDFUL_CALL_SPAN macro streaming through the collector,
+ * and metric-registry JSON well-formedness (validated by parsing the
+ * emitted text back with a minimal JSON parser).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <thread>
 
 #include "json_checker.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -45,10 +47,10 @@ TEST_F(TraceSpanTest, RecordsOnDestruction)
     {
         TraceSpan span("test", "outer");
         EXPECT_TRUE(span.active());
-        EXPECT_EQ(TraceSession::global().eventCount(), 0u);
+        EXPECT_TRUE(TraceSession::global().events().empty());
     }
-    EXPECT_EQ(TraceSession::global().eventCount(), 1u);
     auto events = TraceSession::global().events();
+    ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].name, "outer");
     EXPECT_EQ(events[0].category, "test");
 }
@@ -59,9 +61,8 @@ TEST_F(TraceSpanTest, DisabledSessionRecordsNothing)
     {
         TraceSpan span("test", "ghost");
         EXPECT_FALSE(span.active());
-        span.arg("k", 1.0);
     }
-    EXPECT_EQ(TraceSession::global().eventCount(), 0u);
+    EXPECT_TRUE(TraceSession::global().events().empty());
 }
 
 TEST_F(TraceSpanTest, NestingIsExpressedByTimestampContainment)
@@ -85,22 +86,6 @@ TEST_F(TraceSpanTest, NestingIsExpressedByTimestampContainment)
               outer.startNanos + outer.durationNanos);
 }
 
-TEST_F(TraceSpanTest, ArgsAreCaptured)
-{
-    {
-        TraceSpan span("test", "with_args");
-        span.arg("label", std::string("x"))
-            .arg("ratio", 0.5)
-            .arg("count", std::uint64_t{7});
-    }
-    auto events = TraceSession::global().events();
-    ASSERT_EQ(events.size(), 1u);
-    ASSERT_EQ(events[0].args.size(), 3u);
-    EXPECT_EQ(events[0].args[0].first, "label");
-    EXPECT_EQ(events[0].args[0].second, "x");
-    EXPECT_EQ(events[0].args[2].second, "7");
-}
-
 TEST_F(TraceSpanTest, ThreadsGetDistinctIds)
 {
     std::uint32_t main_id = TraceSession::currentThreadId();
@@ -110,29 +95,6 @@ TEST_F(TraceSpanTest, ThreadsGetDistinctIds)
     });
     worker.join();
     EXPECT_NE(main_id, other_id);
-}
-
-TEST_F(TraceJsonTest, EmittedJsonParses)
-{
-    {
-        TraceSpan outer("comm", "outer \"quoted\" name");
-        outer.arg("newline", std::string("a\nb")).arg("v", 1.25);
-        TraceSpan inner("accel", "inner\\path");
-    }
-    std::ostringstream os;
-    TraceSession::global().writeJson(os);
-    JsonChecker checker(os.str());
-    EXPECT_TRUE(checker.valid()) << os.str();
-    EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"ph\": \"X\""), std::string::npos);
-}
-
-TEST_F(TraceJsonTest, EmptySessionStillEmitsValidJson)
-{
-    std::ostringstream os;
-    TraceSession::global().writeJson(os);
-    JsonChecker checker(os.str());
-    EXPECT_TRUE(checker.valid()) << os.str();
 }
 
 TEST_F(TraceJsonTest, MetricRegistryJsonParses)
@@ -151,12 +113,24 @@ TEST_F(TraceJsonTest, MetricRegistryJsonParses)
 
 TEST_F(TraceJsonTest, MacroSpansRecordWhenEnabled)
 {
-    {
-        MINDFUL_TRACE_SCOPE("test", "macro_scope");
-        MINDFUL_TRACE_SPAN(span, "test", "macro_span");
-        span.arg("k", std::uint64_t{1});
+    auto &collector = TraceCollector::global();
+    collector.registerCurrentThread();
+    std::ostringstream os;
+    collector.start(&os);
+    for (std::uint64_t i = 0; i < 2; ++i) {
+        MINDFUL_CALL_SPAN(span, "test", "macro_span");
+        EXPECT_TRUE(span.active());
+        span.setArg(i + 7);
     }
-    EXPECT_EQ(TraceSession::global().eventCount(), 2u);
+    const CollectorTotals totals = collector.stop();
+    EXPECT_EQ(totals.emitted, 2u);
+    EXPECT_EQ(totals.dropped, 0u);
+    // Call-level spans go to the stream, never to the cold session.
+    EXPECT_TRUE(TraceSession::global().events().empty());
+    JsonChecker checker(os.str());
+    EXPECT_TRUE(checker.valid()) << os.str();
+    EXPECT_NE(os.str().find("\"macro_span\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"args\": {\"v\": 8}"), std::string::npos);
 }
 
 } // namespace

@@ -59,7 +59,7 @@ notCalls()
         // compiled out; the pool entry points are what we guard)
         "parallelFor", "parallelReduce", "shardRange", "fork",
         "MINDFUL_ASSERT", "MINDFUL_DEBUG_ASSERT", "MINDFUL_TRACE_SPAN",
-        "MINDFUL_TRACE_SCOPE",
+        "MINDFUL_CALL_SPAN",
         // the shard-body span macro (obs/collector.hh): it expands to
         // HotSpan construction, whose body the analyzer also sees and
         // certifies lock- and allocation-free
@@ -813,14 +813,19 @@ class Parser
                 {"blocking-call", line, "calls " + t + "()"});
         }
 
-        // realtime blockers: cold-tier observability. The trace macros
-        // and TraceSpan do locked by-name registry work; only
-        // pre-resolved MINDFUL_HOT_SPAN sites and held `Counter &`
-        // references are streaming-legal.
-        if (t == "MINDFUL_TRACE_SPAN" || t == "MINDFUL_TRACE_SCOPE") {
+        // realtime blockers: cold-tier observability. TraceSpan
+        // records under a lock and MINDFUL_CALL_SPAN interns its site
+        // by name; only pre-resolved MINDFUL_HOT_SPAN sites and held
+        // `Counter &` references are streaming-legal.
+        if (t == "MINDFUL_TRACE_SPAN") {
             fn.rtBlockers.push_back(
                 {"cold-tier", line,
                  "starts a cold-tier trace span via " + t});
+        }
+        if (t == "MINDFUL_CALL_SPAN") {
+            fn.rtBlockers.push_back(
+                {"cold-tier", line,
+                 "interns a trace site by name via " + t});
         }
         if (t == "TraceSpan" && isIdentTok(tok(i + 1))) {
             fn.rtBlockers.push_back(
@@ -1765,8 +1770,8 @@ const std::set<std::string> &
 atomicRoles()
 {
     static const std::set<std::string> set{
-        "publish_ptr", "spsc_head",  "spsc_tail",
-        "stat_counter", "once_flag", "seqlock",
+        "publish_ptr", "spsc_head", "spsc_tail",
+        "stat_counter", "once_flag",
     };
     return set;
 }
@@ -1839,7 +1844,7 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                          "' declares no publication protocol; "
                          "annotate MINDFUL_ATOMIC_ROLE(publish_ptr | "
                          "spsc_head | spsc_tail | stat_counter | "
-                         "once_flag | seqlock) (base/compiler.hh)");
+                         "once_flag) (base/compiler.hh)");
                 continue;
             }
             if (!atomicRoles().count(decl.role)) {
@@ -1848,7 +1853,7 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                          "' on field '" + decl.name +
                          "'; the vocabulary is publish_ptr, "
                          "spsc_head, spsc_tail, stat_counter, "
-                         "once_flag, seqlock (base/compiler.hh)");
+                         "once_flag (base/compiler.hh)");
                 continue;
             }
             auto [it, inserted] =
@@ -2022,29 +2027,6 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                              op.field +
                              "'; a flag is not a counter — set it "
                              "with store/exchange/CAS");
-                }
-            } else if (role == "seqlock") {
-                if (kind == "load" &&
-                    !orderIn(op.orders, {"memory_order_acquire",
-                                         "memory_order_seq_cst"})) {
-                    emit(f, op.line,
-                         "seqlock sequence load of '" + op.field +
-                             "' must be acquire");
-                } else if (kind == "store" &&
-                           !orderIn(op.orders,
-                                    {"memory_order_release",
-                                     "memory_order_seq_cst"})) {
-                    emit(f, op.line,
-                         "seqlock sequence store to '" + op.field +
-                             "' must be release");
-                } else if ((kind == "rmw" || kind == "cas") &&
-                           !orderIn(op.orders,
-                                    {"memory_order_release",
-                                     "memory_order_acq_rel",
-                                     "memory_order_seq_cst"})) {
-                    emit(f, op.line,
-                         "seqlock sequence bump on '" + op.field +
-                             "' must publish (release or acq_rel)");
                 }
             }
         }
