@@ -23,7 +23,6 @@
  *  - `--quick`: CI smoke mode (fewer repetitions, no scaling sweep).
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,7 +35,6 @@
 #include "core/experiments.hh"
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
-#include "dnn/sparse.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "thermal/bioheat.hh"
@@ -152,110 +150,6 @@ benchDense(const std::string &name, std::size_t in, std::size_t out,
     result.referenceMs = timeMs(ref_reps, [&] { layer.forwardNaive(x); });
     result.gigaOpsPerSec = 2.0 * static_cast<double>(in) * out /
                            (result.fastMs * 1e6);
-    return result;
-}
-
-/**
- * Deterministic mask with exactly @p active of @p units set, shuffled
- * so the surviving columns are scattered (the CSR slabs stay ragged).
- */
-std::vector<std::uint8_t>
-dropoutMask(std::size_t units, std::size_t active, std::uint64_t seed)
-{
-    std::vector<std::uint8_t> mask(units, 0);
-    for (std::size_t i = 0; i < active; ++i)
-        mask[i] = 1;
-    Rng rng(seed);
-    for (std::size_t i = units - 1; i > 0; --i) {
-        const auto j = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(i)));
-        std::swap(mask[i], mask[j]);
-    }
-    return mask;
-}
-
-/**
- * Dense layer with a channel-dropout mask installed: the fast path is
- * the Pruned/Csr kernel, the reference is forwardNaive over the same
- * input with the dropped features zeroed — outputs are golden-checked
- * equal before timing. GOP/s counts the MACs actually executed.
- */
-KernelResult
-benchDenseSparse(const std::string &name, std::size_t in, std::size_t out,
-                 std::size_t active, std::size_t fast_reps,
-                 std::size_t ref_reps)
-{
-    dnn::DenseLayer layer(in, out);
-    Rng rng(37);
-    layer.initializeWeights(rng);
-    const auto mask = dropoutMask(in, active, 43);
-    layer.setInputDropout(mask);
-
-    dnn::Tensor x = makeInput({in});
-    dnn::Tensor masked = x;
-    for (std::size_t i = 0; i < in; ++i)
-        if (mask[i] == 0)
-            masked[i] = 0.0f;
-
-    KernelResult result;
-    result.name = name;
-    dnn::Tensor fast = layer.forward(x);
-    dnn::Tensor golden = layer.forwardNaive(masked);
-    for (std::size_t i = 0; i < fast.size(); ++i)
-        if (fast[i] != golden[i])
-            MINDFUL_FATAL(name, ": sparse output diverges from masked "
-                          "naive at element ", i);
-    result.checksum = checksum(fast);
-    result.fastMs = timeMs(fast_reps, [&] { layer.forward(x); });
-    result.referenceMs =
-        timeMs(ref_reps, [&] { layer.forwardNaive(masked); });
-
-    // Executed ops: the pruned path runs out x active MACs, the CSR
-    // path one MAC per stored nonzero — identical for dense random
-    // weights, so count the pruned figure.
-    result.gigaOpsPerSec = 2.0 * static_cast<double>(out) * active /
-                           (result.fastMs * 1e6);
-    return result;
-}
-
-/** Conv analog of benchDenseSparse: channel-pruned im2col-GEMM. */
-KernelResult
-benchConvSparse(const std::string &name, std::size_t in_ch,
-                std::size_t out_ch, const dnn::Shape &input_shape,
-                std::size_t active, std::size_t fast_reps,
-                std::size_t ref_reps)
-{
-    dnn::Conv2dLayer conv(in_ch, out_ch, 3, 3, 1, dnn::Padding::Same);
-    Rng rng(31);
-    conv.initializeWeights(rng);
-    const auto mask = dropoutMask(in_ch, active, 47);
-    conv.setInputDropout(mask);
-
-    dnn::Tensor x = makeInput(input_shape);
-    dnn::Tensor masked = x;
-    const std::size_t plane = input_shape[1] * input_shape[2];
-    for (std::size_t ic = 0; ic < in_ch; ++ic)
-        if (mask[ic] == 0)
-            std::fill(masked.data() + ic * plane,
-                      masked.data() + (ic + 1) * plane, 0.0f);
-
-    KernelResult result;
-    result.name = name;
-    dnn::Tensor fast = conv.forward(x);
-    dnn::Tensor golden = conv.forwardNaive(masked);
-    for (std::size_t i = 0; i < fast.size(); ++i)
-        if (fast[i] != golden[i])
-            MINDFUL_FATAL(name, ": sparse output diverges from masked "
-                          "naive at element ", i);
-    result.checksum = checksum(fast);
-    result.fastMs = timeMs(fast_reps, [&] { conv.forward(x); });
-    result.referenceMs =
-        timeMs(ref_reps, [&] { conv.forwardNaive(masked); });
-
-    const auto out_shape = conv.outputShape(input_shape);
-    result.gigaOpsPerSec =
-        2.0 * static_cast<double>(out_shape[1]) * out_shape[2] * out_ch *
-        active * 9 / (result.fastMs * 1e6);
     return result;
 }
 
@@ -386,18 +280,6 @@ main(int argc, char **argv)
     // Fig-10 MLP trunk at n = 512: latent 1024 -> trunk 768.
     kernels.push_back(
         benchDense("dense_mlp_trunk", 1024, 768, fast_reps, ref_reps));
-
-    // Channel-dropout structured sparsity: 50% of the trunk's inputs
-    // active stays above kCsrDensityThreshold (column-pruned GEMM);
-    // 12.5% falls below it (CSR slab kernel); the conv entry prunes
-    // half the input channel planes before im2col.
-    kernels.push_back(benchDenseSparse("dense_mlp_trunk_drop50", 1024,
-                                       768, 512, fast_reps, ref_reps));
-    kernels.push_back(benchDenseSparse("dense_mlp_trunk_drop88", 1024,
-                                       768, 128, fast_reps, ref_reps));
-    kernels.push_back(benchConvSparse("conv_dncnn_block1_drop50", 66, 22,
-                                      {66, 64, 8}, 33, fast_reps,
-                                      ref_reps));
 
     // Bio-heat at the seed configuration (the paper's operating
     // point) and on a fine grid (20 000 cells per sweep).

@@ -12,7 +12,7 @@
  * reshapes) execute in the dataflow FSM and take no PE cycles.
  *
  * The simulated output is therefore bit-identical to
- * Network::forward(), input-dropout masks included.
+ * Network::forward().
  */
 
 #ifndef MINDFUL_ACCEL_SIMULATOR_HH

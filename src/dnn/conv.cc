@@ -87,10 +87,6 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
     MINDFUL_ASSERT(materialized(), "conv weights not materialized; "
                    "call initializeWeights() before forward()");
     MINDFUL_ASSERT(out != nullptr, "conv output view is null");
-    if (_dropPath != DropoutPath::None) {
-        forwardIntoDropout(input, out, fuse_relu);
-        return;
-    }
     Shape out_shape = outputShape(input.shape());
     const std::size_t out_h = out_shape[1];
     const std::size_t out_w = out_shape[2];
@@ -114,65 +110,6 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
                  static_cast<std::size_t>(padBefore(_kernelW)), out_h,
                  out_w, patches.data());
     gemm::biasGemm(_outChannels, n, k, _weights.data(), patches.data(),
-                   _biases.data(), out, epilogue);
-}
-
-void
-Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
-                                bool fuse_relu) const
-{
-    Shape out_shape = outputShape(input.shape());
-    const std::size_t out_h = out_shape[1];
-    const std::size_t out_w = out_shape[2];
-    const std::size_t n = out_h * out_w;
-    const std::size_t ka = _activeChannels.size();
-    const auto epilogue =
-        fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
-
-    if (ka == 0) {
-        // Every input channel dropped: each output plane is its bias
-        // (through the epilogue), exactly what the dense path yields
-        // on an all-zero input.
-        for (std::size_t oc = 0; oc < _outChannels; ++oc) {
-            const float v =
-                fuse_relu ? std::max(_biases[oc], 0.0f) : _biases[oc];
-            std::fill(out + oc * n, out + (oc + 1) * n, v);
-        }
-        return;
-    }
-
-    // Compact the surviving channel planes; im2col (and the packed
-    // weights) then never touch the dropped ones. Skipped terms are
-    // exact zero products — see src/dnn/sparse.hh on why dropping
-    // them is still bit-exact for finite data.
-    const std::size_t in_h = input.dim(1);
-    const std::size_t in_w = input.dim(2);
-    const std::size_t plane = in_h * in_w;
-    Tensor compact(Shape{ka, in_h, in_w});
-    for (std::size_t j = 0; j < ka; ++j)
-        std::copy(input.data() + _activeChannels[j] * plane,
-                  input.data() + (_activeChannels[j] + 1) * plane,
-                  compact.data() + j * plane);
-
-    const std::size_t k = gemm::im2colRows(ka, _kernelH, _kernelW);
-    const float *b_matrix = nullptr;
-    std::vector<float> patches;
-    if (_kernelH == 1 && _kernelW == 1 && _stride == 1) {
-        b_matrix = compact.data();
-    } else {
-        patches.resize(k * n);
-        gemm::im2col(compact, _kernelH, _kernelW, _stride,
-                     static_cast<std::size_t>(padBefore(_kernelH)),
-                     static_cast<std::size_t>(padBefore(_kernelW)),
-                     out_h, out_w, patches.data());
-        b_matrix = patches.data();
-    }
-
-    if (_dropPath == DropoutPath::Csr) {
-        _csr.multiply(n, b_matrix, _biases.data(), out, epilogue);
-        return;
-    }
-    gemm::biasGemm(_outChannels, n, k, _packedWeights.data(), b_matrix,
                    _biases.data(), out, epilogue);
 }
 
@@ -277,77 +214,6 @@ Conv2dLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    rebuildDropoutPlan();
-}
-
-bool
-Conv2dLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    MINDFUL_ASSERT(mask.empty() || mask.size() == _inChannels,
-                   "conv dropout mask needs ", _inChannels,
-                   " entries, got ", mask.size());
-    const bool all_active =
-        std::all_of(mask.begin(), mask.end(),
-                    [](std::uint8_t v) { return v != 0; });
-    _channelMask = all_active ? std::vector<std::uint8_t>{} : mask;
-    rebuildDropoutPlan();
-    return true;
-}
-
-void
-Conv2dLayer::rebuildDropoutPlan()
-{
-    _activeChannels.clear();
-    _packedWeights.clear();
-    _csr = sparse::SlabCsrMatrix{};
-    if (_channelMask.empty() || !materialized()) {
-        _dropPath = DropoutPath::None;
-        return;
-    }
-    for (std::size_t ic = 0; ic < _inChannels; ++ic)
-        if (_channelMask[ic] != 0)
-            _activeChannels.push_back(static_cast<std::uint32_t>(ic));
-
-    // Pack [oc][ic][kh][kw] down to the surviving channels: the im2col
-    // row order over the compacted input is exactly the packed column
-    // order, so the packed matrix drops into the GEMM unchanged.
-    const std::size_t tap = _kernelH * _kernelW;
-    const std::size_t ka = _activeChannels.size();
-    _packedWeights.resize(_outChannels * ka * tap);
-    float *dst = _packedWeights.data();
-    for (std::size_t oc = 0; oc < _outChannels; ++oc) {
-        const float *wrow = _weights.data() + oc * _inChannels * tap;
-        for (const std::uint32_t ic : _activeChannels) {
-            const float *src = wrow + ic * tap;
-            dst = std::copy(src, src + tap, dst);
-        }
-    }
-
-    if (ka == 0) {
-        _dropPath = DropoutPath::Pruned; // bias-only fast path
-        return;
-    }
-
-    // Threshold on the *full* weight extent (nnz after masking over
-    // m * k), per the density the optimization study reasons about.
-    const std::size_t k_full =
-        gemm::im2colRows(_inChannels, _kernelH, _kernelW);
-    std::vector<std::uint8_t> col_mask(k_full, 0);
-    for (const std::uint32_t ic : _activeChannels)
-        std::fill(col_mask.begin() +
-                      static_cast<std::ptrdiff_t>(ic * tap),
-                  col_mask.begin() +
-                      static_cast<std::ptrdiff_t>((ic + 1) * tap),
-                  1);
-    const double density = sparse::maskedDensity(
-        _weights.data(), _outChannels, k_full, col_mask.data());
-    if (density <= sparse::kCsrDensityThreshold) {
-        _dropPath = DropoutPath::Csr;
-        _csr = sparse::SlabCsrMatrix::fromDense(
-            _packedWeights.data(), _outChannels, ka * tap, nullptr);
-    } else {
-        _dropPath = DropoutPath::Pruned;
-    }
 }
 
 DenseStage2dLayer::DenseStage2dLayer(std::size_t in_channels,
@@ -421,12 +287,6 @@ void
 DenseStage2dLayer::initializeWeights(Rng &rng)
 {
     _conv.initializeWeights(rng);
-}
-
-bool
-DenseStage2dLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    return _conv.setInputDropout(mask);
 }
 
 } // namespace mindful::dnn

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "dnn/layer.hh"
-#include "dnn/sparse.hh"
 
 namespace mindful::dnn {
 
@@ -85,18 +84,6 @@ class Conv2dLayer : public Layer
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
 
-    /**
-     * Channel-level input dropout: @p mask has inChannels() entries.
-     * Active input-channel planes are compacted before im2col, then
-     * the GEMM runs on weights packed to the surviving channels —
-     * or on their CSR form when the post-dropout density of the full
-     * weight matrix falls below sparse::kCsrDensityThreshold.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
-
-    /** Kernel the next forward() will take. */
-    DropoutPath dropoutPath() const { return _dropPath; }
-
     /** Weights laid out [out_ch][in_ch][kh][kw]. */
     std::vector<float> &weights() { return _weights; }
     const std::vector<float> &weights() const { return _weights; }
@@ -109,13 +96,6 @@ class Conv2dLayer : public Layer
     /** Top/left zero-padding offset for the current padding mode. */
     std::ptrdiff_t padBefore(std::size_t kernel) const;
 
-    /** Recompute the Pruned/Csr plan from _channelMask + _weights. */
-    void rebuildDropoutPlan();
-
-    /** forwardInto body for the active dropout plan. */
-    void forwardIntoDropout(const Tensor &input, float *out,
-                            bool fuse_relu) const;
-
     std::size_t _inChannels;
     std::size_t _outChannels;
     std::size_t _kernelH;
@@ -124,12 +104,6 @@ class Conv2dLayer : public Layer
     Padding _padding;
     std::vector<float> _weights;
     std::vector<float> _biases;
-
-    std::vector<std::uint8_t> _channelMask; //!< empty = no dropout
-    DropoutPath _dropPath = DropoutPath::None;
-    std::vector<std::uint32_t> _activeChannels;
-    std::vector<float> _packedWeights; //!< [oc][active ic][kh][kw]
-    sparse::SlabCsrMatrix _csr;        //!< over the packed weights
 };
 
 /**
@@ -168,13 +142,6 @@ class DenseStage2dLayer : public Layer
     MacCensus census(const Shape &input) const override;
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
-
-    /**
-     * Forwards to the inner convolution. The passthrough concat copies
-     * the (zero-masked) input unchanged, so the stage output matches
-     * the reference over a masked input exactly.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
 
   private:
     std::size_t _inChannels;

@@ -1,6 +1,5 @@
 #include "dnn/dense.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -51,34 +50,11 @@ DenseLayer::forward(const Tensor &input) const
     MINDFUL_ASSERT(materialized(), "dense layer weights not materialized; "
                    "call initializeWeights() before forward()");
     // y = W x + b is the n = 1 case of the shared GEMM kernel: the
-    // weight matrix is A [out x in], the input is B [in x 1]. Output
-    // rows shard over the pool; each accumulates in ascending k
-    // order, so the result is bit-identical to forwardNaive().
+    // weight matrix is A [out x in], the input is B [in x 1]. Large
+    // layers shard output rows over the pool; each row accumulates in
+    // ascending k order, so the result is bit-identical to
+    // forwardNaive().
     Tensor out(Shape{_out});
-    switch (_dropPath) {
-    case DropoutPath::Pruned: {
-        // Surviving columns were packed at mask-install time; gather
-        // the matching inputs and run the dense kernel at reduced k.
-        const std::size_t ka = _pruned.activeCols();
-        if (ka == 0) {
-            std::copy(_biases.begin(), _biases.end(), out.data());
-            return out;
-        }
-        std::vector<float> gathered(ka);
-        _pruned.gather(input.data(), gathered.data());
-        gemm::biasGemm(_out, 1, ka, _pruned.packed(), gathered.data(),
-                       _biases.data(), out.data());
-        return out;
-    }
-    case DropoutPath::Csr:
-        // CSR column indices are absolute, so the raw input is the
-        // right-hand side — no gather.
-        _csr.multiply(1, input.data(), _biases.data(), out.data(),
-                      gemm::Epilogue::None);
-        return out;
-    case DropoutPath::None:
-        break;
-    }
     gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
                    _biases.data(), out.data());
     return out;
@@ -131,45 +107,6 @@ DenseLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    rebuildDropoutPlan();
-}
-
-bool
-DenseLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    MINDFUL_ASSERT(mask.empty() || mask.size() == _in,
-                   "dense dropout mask needs ", _in, " entries, got ",
-                   mask.size());
-    const bool all_active =
-        std::all_of(mask.begin(), mask.end(),
-                    [](std::uint8_t v) { return v != 0; });
-    _dropoutMask = all_active ? std::vector<std::uint8_t>{} : mask;
-    rebuildDropoutPlan();
-    return true;
-}
-
-void
-DenseLayer::rebuildDropoutPlan()
-{
-    if (_dropoutMask.empty() || !materialized()) {
-        _dropPath = DropoutPath::None;
-        _pruned = sparse::PrunedColumns{};
-        _csr = sparse::SlabCsrMatrix{};
-        return;
-    }
-    const double density = sparse::maskedDensity(
-        _weights.data(), _out, _in, _dropoutMask.data());
-    if (density <= sparse::kCsrDensityThreshold) {
-        _dropPath = DropoutPath::Csr;
-        _csr = sparse::SlabCsrMatrix::fromDense(
-            _weights.data(), _out, _in, _dropoutMask.data());
-        _pruned = sparse::PrunedColumns{};
-    } else {
-        _dropPath = DropoutPath::Pruned;
-        _pruned = sparse::PrunedColumns::fromDense(
-            _weights.data(), _out, _in, _dropoutMask.data());
-        _csr = sparse::SlabCsrMatrix{};
-    }
 }
 
 } // namespace mindful::dnn

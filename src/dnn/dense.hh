@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dnn/layer.hh"
-#include "dnn/sparse.hh"
 
 namespace mindful::dnn {
 
@@ -45,9 +44,9 @@ class DenseLayer : public Layer
     Shape outputShape(const Shape &input) const override;
 
     /**
-     * Execute via the shared GEMM kernel (src/dnn/gemm.hh), sharding
-     * output rows over the pool. Bit-identical to forwardNaive() and
-     * across thread counts.
+     * Execute via the shared GEMM kernel (src/dnn/gemm.hh); large
+     * layers shard output rows over the pool. Bit-identical to
+     * forwardNaive() and across thread counts.
      */
     Tensor forward(const Tensor &input) const override;
 
@@ -61,17 +60,6 @@ class DenseLayer : public Layer
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
 
-    /**
-     * Feature-level input dropout: @p mask has inFeatures() entries.
-     * Picks Pruned or Csr from the post-dropout weight density
-     * (sparse::kCsrDensityThreshold) and rebuilds the compacted view;
-     * initializeWeights() rebuilds it again for the new weights.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
-
-    /** Kernel the next forward() will take. */
-    DropoutPath dropoutPath() const { return _dropPath; }
-
     /** Row-major weights [out x in] (mutable for tests / loading). */
     std::vector<float> &weights() { return _weights; }
     const std::vector<float> &weights() const { return _weights; }
@@ -79,18 +67,10 @@ class DenseLayer : public Layer
     const std::vector<float> &biases() const { return _biases; }
 
   private:
-    /** Recompute the Pruned/Csr plan from _dropoutMask + _weights. */
-    void rebuildDropoutPlan();
-
     std::size_t _in;
     std::size_t _out;
     std::vector<float> _weights;
     std::vector<float> _biases;
-
-    std::vector<std::uint8_t> _dropoutMask; //!< empty = no dropout
-    DropoutPath _dropPath = DropoutPath::None;
-    sparse::PrunedColumns _pruned;
-    sparse::SlabCsrMatrix _csr;
 };
 
 } // namespace mindful::dnn

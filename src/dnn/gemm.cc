@@ -11,6 +11,13 @@ namespace mindful::dnn::gemm {
 namespace {
 
 /**
+ * Minimum m * n * k product before biasGemm ships row shards to the
+ * process-wide pool; smaller problems run inline (pool dispatch would
+ * cost more than the arithmetic). Results are identical either way.
+ */
+constexpr std::uint64_t kParallelMacThreshold = 1u << 16;
+
+/**
  * Scalar GEMV (n == 1, the dense-layer shape): rows are processed in
  * panels of four so the four independent accumulator chains share
  * each x[kk] load and fill the scalar pipeline — the accumulation

@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "dnn/tensor.hh"
 
@@ -47,17 +46,12 @@ enum class Epilogue : std::uint8_t {
 inline constexpr std::size_t kColBlock = 16;
 
 /**
- * Minimum m * n * k product before biasGemm ships row shards to the
- * process-wide pool; smaller problems run inline (pool dispatch would
- * cost more than the arithmetic). Results are identical either way.
- */
-inline constexpr std::uint64_t kParallelMacThreshold = 1u << 16;
-
-/**
  * C = epilogue(A * B + bias), all matrices row-major and contiguous:
  * A is m x k, B is k x n, C is m x n, bias has m entries (may be
- * nullptr for none). Shards rows over exec::parallelFor when the MAC
- * count clears kParallelMacThreshold; records dnn.gemm.* metrics.
+ * nullptr for none). Shards rows over exec::parallelFor once the MAC
+ * count is large enough to pay for the dispatch (smaller problems run
+ * inline; the result is identical either way); records dnn.gemm.*
+ * metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
               const float *a, const float *b, const float *bias, float *c,

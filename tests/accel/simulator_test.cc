@@ -1,20 +1,15 @@
 /**
  * @file
  * PE-array simulator tests: functional equivalence with the
- * reference forward pass (with and without input dropout),
- * consistency with the analytical latency model across a
- * parameterized sweep of PE counts, and per-layer host time reported
- * by the same run.
+ * reference forward pass, consistency with the analytical latency
+ * model across a parameterized sweep of PE counts, and per-layer host
+ * time reported by the same run.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <chrono>
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
 
 #include "accel/lower_bound.hh"
 #include "accel/simulator.hh"
@@ -91,58 +86,6 @@ TEST_P(SimulatorPeSweep, CyclesMatchAnalyticalLatencyModel)
 INSTANTIATE_TEST_SUITE_P(PeCounts, SimulatorPeSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 16u, 24u,
                                            64u));
-
-/** An input-dropout mask keeping every stride-th of the 32 inputs. */
-struct DropoutCase
-{
-    std::size_t stride;
-    dnn::DropoutPath path; //!< kernel the first dense layer takes
-};
-
-void
-PrintTo(const DropoutCase &c, std::ostream *os)
-{
-    *os << "stride " << c.stride;
-}
-
-/** Equivalence must hold with an installed input-dropout mask. */
-class SimulatorDropout : public ::testing::TestWithParam<DropoutCase>
-{
-};
-
-TEST_P(SimulatorDropout, OutputBitIdenticalToReference)
-{
-    auto net = makeMlp();
-    std::vector<std::uint8_t> mask(32, 0);
-    for (std::size_t i = 0; i < mask.size(); i += GetParam().stride)
-        mask[i] = 1;
-    ASSERT_TRUE(net.setInputDropout(mask));
-    const auto &first =
-        dynamic_cast<const dnn::DenseLayer &>(net.layer(0));
-    ASSERT_EQ(first.dropoutPath(), GetParam().path);
-
-    auto input = makeInput(32);
-    dnn::Tensor reference = net.forward(input);
-    AcceleratorSimulator sim({8, nangate45()});
-    auto result = sim.run(net, input);
-    ASSERT_EQ(result.output.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(result.output[i]),
-                  std::bit_cast<std::uint32_t>(reference[i]))
-            << "output " << i;
-}
-
-// 16 of 32 inputs active stays above sparse::kCsrDensityThreshold
-// (column-pruned GEMM); 4 of 32 falls below it (CSR kernel).
-INSTANTIATE_TEST_SUITE_P(
-    Masks, SimulatorDropout,
-    ::testing::Values(DropoutCase{2, dnn::DropoutPath::Pruned},
-                      DropoutCase{8, dnn::DropoutPath::Csr}),
-    [](const ::testing::TestParamInfo<DropoutCase> &info) {
-        return info.param.path == dnn::DropoutPath::Csr
-                   ? std::string("Csr4of32")
-                   : std::string("Pruned16of32");
-    });
 
 TEST(SimulatorTest, CycleCountExactForKnownShape)
 {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -149,6 +151,47 @@ TEST(ExperimentsTest, Fig12TablePerSoc)
     Table table = fig12Table(1);
     EXPECT_EQ(table.rows(), fig12Channels().size());
     EXPECT_EQ(table.columns(), 5u);
+}
+
+TEST(ExperimentsTest, Fig12Soc3MatchesExperimentsTable)
+{
+    // EXPERIMENTS.md, Fig. 12 (SoC 3, MLP): feasible model size as a
+    // percentage of the unoptimized model at full n, to +-0.05 points.
+    // "+Dense" is a known deviation: the paper averages 7% and 2% at
+    // 4096 and 8192 channels, but halving the sensing area leaves
+    // SoC 3 with no feasible design there; pinned as infeasible so a
+    // fix or a drift shows up here.
+    struct Row
+    {
+        std::uint64_t channels;
+        double chDrPercent;
+        double laChDrTechPercent;
+        bool denseFeasible;
+    };
+    const Row rows[] = {{2048, 11.1, 51.5, true},
+                        {4096, 2.2, 9.1, false},
+                        {8192, 0.3, 1.2, false}};
+
+    const auto sweep = optimizationSweep(3);
+    ASSERT_EQ(sweep.size(), std::size(rows));
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const auto &series = sweep[i];
+        const Row &row = rows[i];
+        SCOPED_TRACE(series.channels);
+        ASSERT_EQ(series.socId, 3);
+        ASSERT_EQ(series.channels, row.channels);
+        ASSERT_EQ(series.outcomes.size(), 4u);
+        const auto &ch_dr = series.outcomes[0];
+        const auto &tech = series.outcomes[2];
+        const auto &dense = series.outcomes[3];
+        ASSERT_TRUE(ch_dr.feasible);
+        ASSERT_TRUE(tech.feasible);
+        EXPECT_NEAR(100.0 * ch_dr.modelSizeFraction, row.chDrPercent,
+                    0.05);
+        EXPECT_NEAR(100.0 * tech.modelSizeFraction,
+                    row.laChDrTechPercent, 0.05);
+        EXPECT_EQ(dense.feasible, row.denseFeasible);
+    }
 }
 
 TEST(ExperimentsTest, ModelNamesRender)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime metric gate, end to end: with the global registry disabled,
- * the sharded kernels (GEMM, SpMM, QAM/OOK BER), the red-black SOR
+ * the sharded kernels (GEMM, QAM/OOK BER), the red-black SOR
  * solve and the query engine record no counter at all; re-enabled,
  * the same calls add their per-call totals.
  */
@@ -15,7 +15,6 @@
 
 #include "comm/channel_sim.hh"
 #include "dnn/gemm.hh"
-#include "dnn/sparse.hh"
 #include "obs/metrics.hh"
 #include "serve/query_engine.hh"
 #include "thermal/bioheat.hh"
@@ -45,14 +44,11 @@ counterValues()
 void
 runShardedSites(serve::QueryEngine &engine, std::uint64_t channels)
 {
-    // 64 x 32 x 64 = 2^17 MACs clears kParallelMacThreshold.
+    // 64 x 32 x 64 = 2^17 MACs clears biasGemm's 2^16-MAC sharding
+    // threshold (dnn/gemm.cc).
     const std::size_t m = 64, n = 32, k = 64;
     std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
     dnn::gemm::biasGemm(m, n, k, a.data(), b.data(), nullptr, c.data());
-    const auto csr =
-        dnn::sparse::SlabCsrMatrix::fromDense(a.data(), m, k, nullptr);
-    csr.multiply(n, b.data(), nullptr, c.data(),
-                 dnn::gemm::Epilogue::None);
 
     // The red-black SOR sweep is serial; its solve counters still
     // sit behind the gate.
@@ -91,7 +87,6 @@ TEST(MetricsGateTest, DisabledRegistryRecordsNoKernelOrServeCounter)
         return enabled[name] - (was == before.end() ? 0 : was->second);
     };
     EXPECT_EQ(added("dnn.gemm.shard_rows"), 64u);
-    EXPECT_EQ(added("dnn.spmm.shard_rows"), 64u);
     EXPECT_GT(added("thermal.sor.sweeps"), 0u);
     EXPECT_EQ(added("comm.qam.shard_symbols"), 4096u);
     EXPECT_EQ(added("comm.ook.shard_bits"), 4096u);

@@ -241,6 +241,9 @@ TEST_F(CollectorTest, StoppedCollectorRecordsNothing)
     const TraceSite site = collector.site("test", "stopped");
     const std::uint64_t before = collector.droppedSinceStart();
     produce(site, 50); // not streaming: HotSpan ctor bails immediately
+    // Nothing reached a ring, so nothing was dropped either; check
+    // before start() re-baselines the drop count.
+    EXPECT_EQ(collector.droppedSinceStart(), before);
     std::ostringstream os;
     collector.start(&os);
     CollectorTotals totals = collector.stop();
@@ -248,7 +251,6 @@ TEST_F(CollectorTest, StoppedCollectorRecordsNothing)
     EXPECT_EQ(totals.dropped, 0u);
     // An empty stream is still a complete, valid trace file.
     EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
-    (void)before;
 }
 
 } // namespace
