@@ -75,8 +75,8 @@ struct ObsOptions
 
 /**
  * Extract --trace-out FILE / --metrics-out FILE / --threads N (also
- * the --flag=VALUE spelling) and *remove them from argv* so
- * downstream parsers (e.g. google-benchmark) never see them. Starts
+ * the --flag=VALUE spelling) and *remove them from argv* so the
+ * binary's own argument loop never sees them. Starts
  * the trace collector when --trace-out is present and sizes the
  * process-wide thread pool when --threads is present (0 = hardware
  * concurrency).

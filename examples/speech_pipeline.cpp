@@ -36,7 +36,6 @@
 #include "core/scaling.hh"
 #include "dnn/models.hh"
 #include "ni/synthetic_cortex.hh"
-#include "signal/filters.hh"
 #include "signal/kalman.hh"
 #include "signal/metrics.hh"
 

@@ -103,6 +103,8 @@ TEST(QamStudyTest, PaperHeadline20PercentDoubles)
     auto summary = experiments::qamSummary(0.20);
     EXPECT_GT(summary.averageGain, 1.5);
     EXPECT_LT(summary.averageGain, 2.5);
+    // EXPERIMENTS.md Fig. 7: 1968 channels (1.92x) against ~2200.
+    EXPECT_EQ(summary.averageMaxChannels, 1968.0);
 }
 
 TEST(QamStudyTest, PaperHeadline100PercentQuadruples)
@@ -112,6 +114,17 @@ TEST(QamStudyTest, PaperHeadline100PercentQuadruples)
     auto summary = experiments::qamSummary(1.0);
     EXPECT_GT(summary.averageGain, 3.2);
     EXPECT_LT(summary.averageGain, 4.8);
+    // EXPERIMENTS.md Fig. 7: 3944 channels (3.85x) against ~4000.
+    EXPECT_EQ(summary.averageMaxChannels, 3944.0);
+}
+
+TEST(QamStudyTest, PaperHeadline13PercentIsKnownDeviation)
+{
+    // The paper reaches n ~ 1800 at 13% QAM efficiency. This model
+    // reaches 1408 on average there and needs ~18% for 1800: the
+    // documented deviation in EXPERIMENTS.md Fig. 7 ("same regime").
+    // Pinned so a fix or a drift in the link budget shows up here.
+    EXPECT_EQ(experiments::qamSummary(0.13).averageMaxChannels, 1408.0);
 }
 
 TEST(QamStudyTest, EvenIdealQamCannotStreamAtLargeScale)
