@@ -1,9 +1,9 @@
 /**
  * @file
- * Tracked perf-regression harness for the two hot kernels this
- * codebase optimizes — the im2col-GEMM DNN forward path and the
- * red-black bio-heat SOR sweep — plus the end-to-end figure paths
- * built on them (Figs. 9, 10, 12).
+ * Tracked perf-regression harness for the DNN forward path (conv and
+ * dense layers on the one column-tiled GEMM kernel) and the red-black
+ * bio-heat SOR sweep, plus the end-to-end figure paths built on them
+ * (Figs. 9, 10, 12).
  *
  * Each kernel runs both its production implementation and the
  * retained golden reference (Conv2dLayer::forwardNaive,
@@ -15,7 +15,8 @@
  *  - human-readable timing summary on stdout (default);
  *  - `--json FILE`: machine-readable BENCH_kernels.json with wall
  *    times, ops/s, speedups, iteration counts, and a thread-scaling
- *    sweep — the artifact CI uploads per commit;
+ *    sweep of the 64-channel speech-MLP forward — the artifact CI
+ *    uploads per commit;
  *  - `--csv`: *deterministic values only* (output checksums and SOR
  *    iteration counts, no timings), byte-identical for any --threads
  *    value — the determinism contract test diffs this across thread
@@ -35,6 +36,7 @@
 #include "core/experiments.hh"
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
+#include "dnn/models.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "thermal/bioheat.hh"
@@ -310,19 +312,23 @@ main(int argc, char **argv)
          timeMs(1, [] { core::experiments::fig12Table(1); })});
 
     // --- Thread-scaling sweep (sharded kernels only) -----------------
-    // The SOR sweep is serial, so bioheat_fine has no row here.
+    // The 64-channel speech-MLP forward is the decoder the implant
+    // data path (perfbench stream_decode) runs; its three large dense
+    // layers shard their GEMMs 8, 16 and 6 ways. The SOR sweep is
+    // serial, so bioheat_fine has no row here.
     std::vector<ScalingPoint> scaling;
     if (!quick) {
         const unsigned initial = exec::ThreadPool::global().threadCount();
-        dnn::Conv2dLayer conv(66, 22, 3, 3, 1, dnn::Padding::Same);
-        Rng rng(31);
-        conv.initializeWeights(rng);
-        dnn::Tensor x = makeInput({66, 64, 8});
+        dnn::Network mlp = dnn::buildSpeechMlp(64);
+        Rng rng(41);
+        mlp.initializeWeights(rng);
+        dnn::Tensor x = makeInput(mlp.inputShape());
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             exec::ThreadPool::setGlobalThreadCount(threads);
-            scaling.push_back({"conv_dncnn_block1", threads,
-                               timeMs(fast_reps,
-                                      [&] { conv.forward(x); })});
+            timeMs(fast_reps, [&] { mlp.forward(x); }); // warm-up
+            scaling.push_back({"speech_mlp_64ch", threads,
+                               timeMs(fast_reps * 10,
+                                      [&] { mlp.forward(x); })});
         }
         exec::ThreadPool::setGlobalThreadCount(initial);
     }

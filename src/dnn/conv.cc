@@ -96,11 +96,16 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
     const auto epilogue =
         fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
 
+    // The kernel accumulates onto C: start each output-channel row
+    // from its bias.
+    for (std::size_t oc = 0; oc < _outChannels; ++oc)
+        std::fill(out + oc * n, out + (oc + 1) * n, _biases[oc]);
+
     // 1x1 stride-1 convolutions (pointwise channel mixing) already
     // have the patch-matrix layout: B is just the input buffer.
     if (_kernelH == 1 && _kernelW == 1 && _stride == 1) {
         gemm::biasGemm(_outChannels, n, k, _weights.data(), input.data(),
-                       _biases.data(), out, epilogue);
+                       out, epilogue);
         return;
     }
 
@@ -110,7 +115,7 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
                  static_cast<std::size_t>(padBefore(_kernelW)), out_h,
                  out_w, patches.data());
     gemm::biasGemm(_outChannels, n, k, _weights.data(), patches.data(),
-                   _biases.data(), out, epilogue);
+                   out, epilogue);
 }
 
 Tensor

@@ -49,14 +49,14 @@ DenseLayer::forward(const Tensor &input) const
                    input.size());
     MINDFUL_ASSERT(materialized(), "dense layer weights not materialized; "
                    "call initializeWeights() before forward()");
-    // y = W x + b is the n = 1 case of the shared GEMM kernel: the
-    // weight matrix is A [out x in], the input is B [in x 1]. Large
-    // layers shard output rows over the pool; each row accumulates in
-    // ascending k order, so the result is bit-identical to
-    // forwardNaive().
-    Tensor out(Shape{_out});
-    gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
-                   _biases.data(), out.data());
+    // y = x·Wᵀ + b is the m = 1 row of the shared GEMM kernel: the
+    // input is A [1 x in], the stored Wᵀ is B [in x out], and C starts
+    // as a copy of the bias. Large layers shard column tiles over the
+    // pool; each output accumulates bias first, then ascending k, so
+    // the result is bit-identical to forwardNaive().
+    Tensor out(Shape{_out}, _biases);
+    gemm::biasGemm(1, _out, _in, input.data(), _weights.data(),
+                   out.data());
     return out;
 }
 
@@ -71,10 +71,9 @@ DenseLayer::forwardNaive(const Tensor &input) const
     Tensor out(Shape{_out});
     const float *x = input.data();
     for (std::size_t r = 0; r < _out; ++r) {
-        const float *row = _weights.data() + r * _in;
         float acc = _biases[r];
         for (std::size_t c = 0; c < _in; ++c)
-            acc += row[c] * x[c];
+            acc += _weights[c * _out + r] * x[c];
         out[r] = acc;
     }
     return out;
@@ -103,8 +102,11 @@ DenseLayer::initializeWeights(Rng &rng)
     materialize();
     // Xavier-uniform: keeps activations in range through deep stacks.
     double limit = std::sqrt(6.0 / static_cast<double>(_in + _out));
-    for (auto &w : _weights)
-        w = static_cast<float>(rng.uniform(-limit, limit));
+    // Draw i is W[i / in][i % in], stored at Wᵀ[i % in][i / in].
+    for (std::size_t r = 0; r < _out; ++r)
+        for (std::size_t c = 0; c < _in; ++c)
+            _weights[c * _out + r] =
+                static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
 }

@@ -13,7 +13,10 @@
 namespace mindful::dnn {
 
 /**
- * y = W x + b with W [out x in].
+ * y = W x + b with W [out x in], stored only as Wᵀ [in x out]
+ * (k-major): the forward pass is y = x·Wᵀ + b, the m = 1 row of the
+ * shared GEMM kernel, whose column tiles walk each Wᵀ row
+ * contiguously.
  *
  * Accepts any input tensor whose element count equals the configured
  * input width (implicit flatten), producing a rank-1 output.
@@ -45,14 +48,15 @@ class DenseLayer : public Layer
 
     /**
      * Execute via the shared GEMM kernel (src/dnn/gemm.hh); large
-     * layers shard output rows over the pool. Bit-identical to
-     * forwardNaive() and across thread counts.
+     * layers shard output column tiles over the pool. Bit-identical
+     * to forwardNaive() and across thread counts.
      */
     Tensor forward(const Tensor &input) const override;
 
     /**
-     * Retained golden reference: the original scalar row loop, for
-     * the equivalence tests and kernel_regression baseline.
+     * Retained golden reference: the original scalar row loop
+     * (reading W[r][c] as Wᵀ[c][r]), for the equivalence tests and
+     * kernel_regression baseline.
      */
     Tensor forwardNaive(const Tensor &input) const;
 
@@ -60,7 +64,10 @@ class DenseLayer : public Layer
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
 
-    /** Row-major weights [out x in] (mutable for tests / loading). */
+    /**
+     * Weights as Wᵀ, row-major [in x out]: W[r][c] is element
+     * c * outFeatures() + r (mutable for tests / loading).
+     */
     std::vector<float> &weights() { return _weights; }
     const std::vector<float> &weights() const { return _weights; }
     std::vector<float> &biases() { return _biases; }

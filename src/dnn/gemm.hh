@@ -7,19 +7,23 @@
  * measured hot loop, not an analytical model. Conv2dLayer and
  * DenseLayer both lower onto the single kernel here:
  *
- *     C[m][n] = epilogue(sum_k A[m][k] * B[k][n] + bias[m])
+ *     C[m][n] = epilogue(C[m][n] + sum_k A[m][k] * B[k][n])
  *
- * with A the weight matrix and B either the im2col patch matrix
- * (convolution) or the input vector (dense, n = 1).
+ * where C holds the bias on entry. A convolution passes its weights
+ * as A (one row per output channel) and the im2col patch matrix as B,
+ * with each C row filled with that channel's bias. A dense layer is
+ * the m = 1 row: A is the input vector, B its stored Wᵀ [in x out],
+ * and C a copy of the bias vector.
  *
  * Determinism contract (docs/performance.md): every output element
- * accumulates its k products **sequentially in ascending k order**
- * into one scalar, exactly like the retained naive loops, and work is
- * sharded over output rows only — no cross-shard reduction exists. The
- * result is therefore bit-identical to the naive reference and across
- * any `--threads` value. Cache blocking happens in the n direction
- * (register tiles of kColBlock columns walk B rows contiguously),
- * which reorders nothing.
+ * starts from its bias and accumulates its k products **sequentially
+ * in ascending k order** into one scalar, exactly like the retained
+ * naive loops, and work is sharded over whole kColBlock column tiles
+ * only — no cross-shard reduction exists. The result is therefore
+ * bit-identical to the naive reference and across any `--threads`
+ * value. Cache blocking happens in the n direction (register tiles of
+ * kColBlock columns walk B rows contiguously), which reorders
+ * nothing.
  */
 
 #ifndef MINDFUL_DNN_GEMM_HH
@@ -39,22 +43,22 @@ enum class Epilogue : std::uint8_t {
 };
 
 /**
- * Register-tile width of the blocked kernel: one row of C is produced
- * kColBlock columns at a time, with the k loop innermost over a
- * contiguous B row segment. 16 floats = one 64-byte cache line.
+ * Register-tile width of the blocked kernel, and the unit of its
+ * sharding: one row of C is produced kColBlock columns at a time, with
+ * the k loop innermost over a contiguous B row segment. 16 floats =
+ * one 64-byte cache line.
  */
 inline constexpr std::size_t kColBlock = 16;
 
 /**
- * C = epilogue(A * B + bias), all matrices row-major and contiguous:
- * A is m x k, B is k x n, C is m x n, bias has m entries (may be
- * nullptr for none). Shards rows over exec::parallelFor once the MAC
- * count is large enough to pay for the dispatch (smaller problems run
- * inline; the result is identical either way); records dnn.gemm.*
- * metrics.
+ * C = epilogue(C + A * B), all matrices row-major and contiguous: A is
+ * m x k, B is k x n, C is m x n and holds the bias on entry. Shards
+ * column tiles over exec::parallelFor once the MAC count is large
+ * enough to pay for the dispatch (smaller problems run inline; the
+ * result is identical either way); records dnn.gemm.* metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
-              const float *a, const float *b, const float *bias, float *c,
+              const float *a, const float *b, float *c,
               Epilogue epilogue = Epilogue::None);
 
 /**

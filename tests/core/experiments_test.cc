@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -136,6 +137,67 @@ TEST(ExperimentsTest, Fig10DnCnnFeasibleSetIsKnownDeviation)
         if (series.maxChannels >= 1024)
             feasible.insert(series.socId);
     EXPECT_EQ(feasible, (std::set<int>{1, 2, 7}));
+}
+
+/**
+ * Largest feasible channel count per SoC, for the SoCs that fit
+ * @p model at 1024 channels (the sets EXPERIMENTS.md averages over).
+ */
+std::map<int, std::uint64_t>
+fig10Frontiers(SpeechModel model)
+{
+    std::map<int, std::uint64_t> frontiers;
+    for (const auto &series : dnnPowerSweep(model, fig10Channels()))
+        if (series.maxChannels >= 1024)
+            frontiers[series.socId] = series.maxChannels;
+    return frontiers;
+}
+
+std::uint64_t
+averageFrontier(const std::map<int, std::uint64_t> &frontiers)
+{
+    std::uint64_t sum = 0;
+    for (const auto &[soc, channels] : frontiers)
+        sum += channels;
+    return sum / frontiers.size();
+}
+
+TEST(ExperimentsTest, Fig10MlpFrontiersMatchExperimentsTable)
+{
+    // EXPERIMENTS.md, Fig. 10: the MLP frontier of each SoC feasible
+    // at 1024 channels, and their average (the paper reads ~1800; 2150
+    // here). The census is analytic, so no change to the forward
+    // kernels may move these.
+    const auto frontiers = fig10Frontiers(SpeechModel::Mlp);
+    const std::map<int, std::uint64_t> expected{
+        {1, 2624}, {2, 2592}, {6, 1600}, {7, 2720}, {8, 1216}};
+    EXPECT_EQ(frontiers, expected);
+    EXPECT_EQ(averageFrontier(frontiers), 2150u);
+}
+
+TEST(ExperimentsTest, Fig10DnCnnAverageFrontierMatchesExperimentsTable)
+{
+    // EXPERIMENTS.md, Fig. 10: the DN-CNN frontiers average 1216
+    // channels over the feasible SoCs {1, 2, 7} (paper ~1400).
+    const auto frontiers = fig10Frontiers(SpeechModel::DnCnn);
+    ASSERT_EQ(frontiers.size(), 3u);
+    EXPECT_EQ(averageFrontier(frontiers), 1216u);
+}
+
+TEST(ExperimentsTest, Fig10DnCnnSocs4And5OverBudgetIsKnownDeviation)
+{
+    // The paper has SoCs 4-5 exceeding their budget ~5x with DN-CNN at
+    // 1024 channels. This model reads 7.86x (Shen) and 7.36x (Muller),
+    // the deviation EXPERIMENTS.md records; pinned to the CSV's two
+    // decimals so a fix or a drift shows up here.
+    std::map<int, double> over;
+    for (const auto &series :
+         dnnPowerSweep(SpeechModel::DnCnn, fig10Channels())) {
+        ASSERT_EQ(series.points.front().channels, 1024u);
+        over[series.socId] = series.points.front().budgetUtilization;
+    }
+    EXPECT_NEAR(over[4], 7.86, 0.005);
+    EXPECT_NEAR(over[5], 7.36, 0.005);
 }
 
 TEST(ExperimentsTest, Fig11RowsPerSocAndModel)

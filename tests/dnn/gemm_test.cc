@@ -4,9 +4,10 @@
  *
  * Conv2dLayer::forward / DenseLayer::forward execute through the
  * shared GEMM kernel (src/dnn/gemm.hh); the original loop nests are
- * retained as forwardNaive. The kernel accumulates each output
- * element sequentially in ascending k — the same order as the naive
- * loops — and shards only over output rows, so the contract is
+ * retained as forwardNaive. The kernel starts each output element
+ * from its bias and accumulates sequentially in ascending k — the same
+ * order as the naive loops — and shards only over whole 16-column
+ * tiles, so the contract is
  * *exact* float equality: to the naive reference AND across thread
  * counts. These tests pin that contract over the padding modes,
  * strides, and kernel shapes the model zoo uses (and a few it
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dnn/conv.hh"
@@ -127,8 +129,9 @@ TEST(GemmConvTest, KernelLargerThanInputSamePadding)
 TEST(GemmConvTest, BitIdenticalAcrossThreadCounts)
 {
     // Large enough (m*n*k >= 2^16 MACs) that biasGemm actually shards
-    // over the pool. Row sharding has no cross-shard reduction, so
-    // equality is exact, not approximate.
+    // over the pool; n = 1024 is 64 column tiles, 16 shards of four.
+    // Column-tile sharding has no cross-shard reduction, so equality
+    // is exact, not approximate.
     auto conv = makeConv(8, 16, 3, 3, 1, Padding::Same);
     Tensor x = makeInput({8, 32, 32});
 
@@ -155,6 +158,8 @@ TEST(GemmDenseTest, MatchesNaiveExactly)
 
 TEST(GemmDenseTest, BitIdenticalAcrossThreadCounts)
 {
+    // 512 x 512 = 2^18 MACs shards; 512 outputs are 32 column tiles,
+    // 16 shards of two.
     DenseLayer layer(512, 512);
     Rng rng(17);
     layer.initializeWeights(rng);
@@ -172,8 +177,8 @@ TEST(GemmDenseTest, BitIdenticalAcrossThreadCounts)
 
 TEST(GemmDenseTest, RaggedPanelsBitIdenticalAcrossThreadCounts)
 {
-    // 770 output rows is not a multiple of the 4-row GEMV panel, so
-    // the row shards end in ragged panels.
+    // 770 outputs is not a multiple of the 16-column tile, so the
+    // last shard ends on a ragged 2-column tile.
     DenseLayer layer(512, 770);
     Rng rng(17);
     layer.initializeWeights(rng);
@@ -203,13 +208,14 @@ TEST(GemmDenseStageTest, FusedForwardMatchesReferenceExactly)
 TEST(GemmKernelTest, EpilogueReluClampsExactly)
 {
     // Direct kernel check: one row whose products straddle zero.
-    // A = [1, -1], B columns = (1,0), (0,1), (2,3), bias = -0.5.
+    // A = [1, -1], B columns = (1,0), (0,1), (2,3), and C starts at
+    // the bias -0.5.
     const float a[] = {1.0f, -1.0f};
     const float b[] = {1.0f, 0.0f, 2.0f, /* k=1 row */ 0.0f, 1.0f, 3.0f};
-    const float bias[] = {-0.5f};
-    float none[3], relu[3];
-    gemm::biasGemm(1, 3, 2, a, b, bias, none, gemm::Epilogue::None);
-    gemm::biasGemm(1, 3, 2, a, b, bias, relu, gemm::Epilogue::Relu);
+    float none[3] = {-0.5f, -0.5f, -0.5f};
+    float relu[3] = {-0.5f, -0.5f, -0.5f};
+    gemm::biasGemm(1, 3, 2, a, b, none, gemm::Epilogue::None);
+    gemm::biasGemm(1, 3, 2, a, b, relu, gemm::Epilogue::Relu);
     EXPECT_FLOAT_EQ(none[0], 0.5f);
     EXPECT_FLOAT_EQ(none[1], -1.5f);
     EXPECT_FLOAT_EQ(none[2], -1.5f);
@@ -224,20 +230,20 @@ TEST(GemmKernelTest, ReluTieKeepsNegativeZero)
     // std::max(acc, 0.0f) returns its first argument when neither is
     // greater. +0.0 weights against negative inputs give -0.0
     // products, so a -0.0 bias stays -0.0 (-0 + -0 = -0). Checked on
-    // the GEMV path (n == 1, 4-row panels plus a tail row) and the
-    // register-tile path (n == 24, one full tile plus a ragged tail).
-    const std::size_t m = 9, k = 8;
-    const std::vector<float> zeros(m * k, 0.0f);
-    const std::vector<float> neg_bias(m, -0.0f);
-    for (const std::size_t n : {1u, 24u}) {
+    // one ragged tile (n == 1), one full tile plus a ragged tail
+    // (n == 24), and the dense shape (m == 1, n == 24).
+    const std::size_t k = 8;
+    using Mn = std::pair<std::size_t, std::size_t>;
+    for (const auto &[m, n] : {Mn{9, 1}, Mn{9, 24}, Mn{1, 24}}) {
+        const std::vector<float> zeros(m * k, 0.0f);
         const std::vector<float> inputs(k * n, -0.5f);
-        std::vector<float> out(m * n, 1.0f);
-        gemm::biasGemm(m, n, k, zeros.data(), inputs.data(),
-                       neg_bias.data(), out.data(), gemm::Epilogue::Relu);
+        std::vector<float> out(m * n, -0.0f);
+        gemm::biasGemm(m, n, k, zeros.data(), inputs.data(), out.data(),
+                       gemm::Epilogue::Relu);
         for (std::size_t i = 0; i < out.size(); ++i)
             EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
                       std::bit_cast<std::uint32_t>(-0.0f))
-                << "n=" << n << " element " << i;
+                << "m=" << m << " n=" << n << " element " << i;
     }
 }
 

@@ -21,7 +21,9 @@ TEST(DenseLayerTest, ForwardComputesAffineMap)
 {
     DenseLayer layer(3, 2);
     layer.materialize();
-    layer.weights() = {1.0f, 2.0f, 3.0f, /* row 1 */ 0.5f, -1.0f, 0.0f};
+    // Wᵀ [in x out]: W = {{1, 2, 3}, {0.5, -1, 0}}.
+    layer.weights() = {1.0f, 0.5f, /* Wᵀ row 1 */ 2.0f, -1.0f,
+                       /* Wᵀ row 2 */ 3.0f, 0.0f};
     layer.biases() = {10.0f, -1.0f};
     Tensor x(Shape{3}, {1.0f, 2.0f, 3.0f});
     Tensor y = layer.forward(x);
@@ -55,6 +57,30 @@ TEST(DenseLayerTest, InitializeWeightsMaterializesAndBounds)
     double limit = std::sqrt(6.0 / 150.0);
     for (float w : layer.weights()) {
         EXPECT_LE(std::abs(w), limit);
+    }
+}
+
+TEST(DenseLayerTest, SeededWeightsLandOnPinnedRowsAndColumns)
+{
+    // One-hot input c through the reference loop reads column c of W
+    // exactly (bias 0, every other product 0), so this pins which
+    // logical (row, col) each seeded draw lands on, whatever the
+    // storage layout. Values recorded when W was stored row-major
+    // [out x in].
+    DenseLayer layer(3, 4);
+    Rng rng(5);
+    layer.initializeWeights(rng);
+    const float expected[3][4] = {
+        {0.320453942f, 0.325763106f, -0.685429752f, -0.519279122f},
+        {-0.854541957f, -0.758493125f, 0.347699434f, -0.829596162f},
+        {-0.508666754f, -0.747428596f, 0.544335544f, 0.132724136f},
+    };
+    for (std::size_t c = 0; c < 3; ++c) {
+        Tensor x(Shape{3});
+        x[c] = 1.0f;
+        const Tensor y = layer.forwardNaive(x);
+        for (std::size_t r = 0; r < 4; ++r)
+            EXPECT_EQ(y[r], expected[c][r]) << "row " << r << " col " << c;
     }
 }
 

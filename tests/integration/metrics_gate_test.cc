@@ -45,10 +45,11 @@ void
 runShardedSites(serve::QueryEngine &engine, std::uint64_t channels)
 {
     // 64 x 32 x 64 = 2^17 MACs clears biasGemm's 2^16-MAC sharding
-    // threshold (dnn/gemm.cc).
+    // threshold (dnn/gemm.cc), and n = 32 is two 16-column tiles, so
+    // the call shards two ways. C starts as a zero bias.
     const std::size_t m = 64, n = 32, k = 64;
     std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
-    dnn::gemm::biasGemm(m, n, k, a.data(), b.data(), nullptr, c.data());
+    dnn::gemm::biasGemm(m, n, k, a.data(), b.data(), c.data());
 
     // The red-black SOR sweep is serial; its solve counters still
     // sit behind the gate.
@@ -86,7 +87,7 @@ TEST(MetricsGateTest, DisabledRegistryRecordsNoKernelOrServeCounter)
         const auto was = before.find(name);
         return enabled[name] - (was == before.end() ? 0 : was->second);
     };
-    EXPECT_EQ(added("dnn.gemm.shard_rows"), 64u);
+    EXPECT_EQ(added("dnn.gemm.macs"), 1u << 17);
     EXPECT_GT(added("thermal.sor.sweeps"), 0u);
     EXPECT_EQ(added("comm.qam.shard_symbols"), 4096u);
     EXPECT_EQ(added("comm.ook.shard_bits"), 4096u);
