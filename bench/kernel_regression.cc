@@ -5,17 +5,20 @@
  * bio-heat SOR sweep, plus the end-to-end figure paths built on them
  * (Figs. 9, 10, 12).
  *
- * Each kernel runs both its production implementation and the
- * retained golden reference (Conv2dLayer::forwardNaive,
- * DenseLayer::forwardNaive, BioHeatSolver::solveReference), so the
+ * Each conv and bio-heat kernel runs both its production
+ * implementation and the retained golden reference
+ * (Conv2dLayer::forwardNaive, BioHeatSolver::solveReference), so the
  * emitted speedups measure exactly the optimization under regression
- * watch, on the same machine, in the same run.
+ * watch, on the same machine, in the same run. The dense row reports
+ * absolute time only: DenseLayer::forwardNaive walks the stored Wᵀ
+ * with stride `out`, so a speedup over it would mix the kernel's gain
+ * with the reference's stride penalty.
  *
  * Outputs:
  *  - human-readable timing summary on stdout (default);
  *  - `--json FILE`: machine-readable BENCH_kernels.json with wall
  *    times, ops/s, speedups, iteration counts, and a thread-scaling
- *    sweep of the 64-channel speech-MLP forward — the artifact CI
+ *    sweep of the Fig. 12 SoC 1 optimization sweep — the artifact CI
  *    uploads per commit;
  *  - `--csv`: *deterministic values only* (output checksums and SOR
  *    iteration counts, no timings), byte-identical for any --threads
@@ -36,7 +39,6 @@
 #include "core/experiments.hh"
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
-#include "dnn/models.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "thermal/bioheat.hh"
@@ -138,7 +140,7 @@ benchConv(const std::string &name, std::size_t in_ch, std::size_t out_ch,
 
 KernelResult
 benchDense(const std::string &name, std::size_t in, std::size_t out,
-           std::size_t fast_reps, std::size_t ref_reps)
+           std::size_t fast_reps)
 {
     dnn::DenseLayer layer(in, out);
     Rng rng(37);
@@ -149,7 +151,6 @@ benchDense(const std::string &name, std::size_t in, std::size_t out,
     result.name = name;
     result.checksum = checksum(layer.forward(x));
     result.fastMs = timeMs(fast_reps, [&] { layer.forward(x); });
-    result.referenceMs = timeMs(ref_reps, [&] { layer.forwardNaive(x); });
     result.gigaOpsPerSec = 2.0 * static_cast<double>(in) * out /
                            (result.fastMs * 1e6);
     return result;
@@ -280,8 +281,7 @@ main(int argc, char **argv)
     kernels.push_back(benchConv("conv_dncnn_block2", 220, 22, {220, 32, 4},
                                 fast_reps, ref_reps));
     // Fig-10 MLP trunk at n = 512: latent 1024 -> trunk 768.
-    kernels.push_back(
-        benchDense("dense_mlp_trunk", 1024, 768, fast_reps, ref_reps));
+    kernels.push_back(benchDense("dense_mlp_trunk", 1024, 768, fast_reps));
 
     // Bio-heat at the seed configuration (the paper's operating
     // point) and on a fine grid (20 000 cells per sweep).
@@ -311,24 +311,19 @@ main(int argc, char **argv)
         {"fig12_optimizations_soc1",
          timeMs(1, [] { core::experiments::fig12Table(1); })});
 
-    // --- Thread-scaling sweep (sharded kernels only) -----------------
-    // The 64-channel speech-MLP forward is the decoder the implant
-    // data path (perfbench stream_decode) runs; its three large dense
-    // layers shard their GEMMs 8, 16 and 6 ways. The SOR sweep is
-    // serial, so bioheat_fine has no row here.
+    // --- Thread-scaling sweep (sharded paths only) -------------------
+    // Fig. 12's optimization sweep shards its per-channel-count solves
+    // over the pool. The GEMM and the SOR sweep run inline, so no
+    // kernel row is swept.
     std::vector<ScalingPoint> scaling;
     if (!quick) {
         const unsigned initial = exec::ThreadPool::global().threadCount();
-        dnn::Network mlp = dnn::buildSpeechMlp(64);
-        Rng rng(41);
-        mlp.initializeWeights(rng);
-        dnn::Tensor x = makeInput(mlp.inputShape());
+        auto fig12 = [] { core::experiments::fig12Table(1); };
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             exec::ThreadPool::setGlobalThreadCount(threads);
-            timeMs(fast_reps, [&] { mlp.forward(x); }); // warm-up
-            scaling.push_back({"speech_mlp_64ch", threads,
-                               timeMs(fast_reps * 10,
-                                      [&] { mlp.forward(x); })});
+            timeMs(fast_reps, fig12); // warm-up
+            scaling.push_back({"fig12_optimizations_soc1", threads,
+                               timeMs(fast_reps * 10, fig12)});
         }
         exec::ThreadPool::setGlobalThreadCount(initial);
     }
@@ -350,7 +345,7 @@ main(int argc, char **argv)
         for (const auto &e : end_to_end)
             std::printf("%-30s %10.2f ms\n", e.name.c_str(), e.wallMs);
         for (const auto &s : scaling)
-            std::printf("scaling %-22s t=%u %10.4f ms\n", s.name.c_str(),
+            std::printf("scaling %-24s t=%u %10.4f ms\n", s.name.c_str(),
                         s.threads, s.wallMs);
     }
 

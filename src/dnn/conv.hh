@@ -55,8 +55,8 @@ class Conv2dLayer : public Layer
 
     /**
      * Execute via im2col + blocked GEMM (src/dnn/gemm.hh).
-     * Bit-identical to forwardNaive() and across thread counts (the
-     * GEMM determinism contract, docs/performance.md).
+     * Bit-identical to forwardNaive() (the GEMM determinism contract,
+     * docs/performance.md).
      */
     Tensor forward(const Tensor &input) const override;
 

@@ -51,9 +51,8 @@ DenseLayer::forward(const Tensor &input) const
                    "call initializeWeights() before forward()");
     // y = x·Wᵀ + b is the m = 1 row of the shared GEMM kernel: the
     // input is A [1 x in], the stored Wᵀ is B [in x out], and C starts
-    // as a copy of the bias. Large layers shard column tiles over the
-    // pool; each output accumulates bias first, then ascending k, so
-    // the result is bit-identical to forwardNaive().
+    // as a copy of the bias. Each output accumulates bias first, then
+    // ascending k, so the result is bit-identical to forwardNaive().
     Tensor out(Shape{_out}, _biases);
     gemm::biasGemm(1, _out, _in, input.data(), _weights.data(),
                    out.data());

@@ -47,16 +47,14 @@ class DenseLayer : public Layer
     Shape outputShape(const Shape &input) const override;
 
     /**
-     * Execute via the shared GEMM kernel (src/dnn/gemm.hh); large
-     * layers shard output column tiles over the pool. Bit-identical
-     * to forwardNaive() and across thread counts.
+     * Execute via the shared GEMM kernel (src/dnn/gemm.hh).
+     * Bit-identical to forwardNaive().
      */
     Tensor forward(const Tensor &input) const override;
 
     /**
      * Retained golden reference: the original scalar row loop
-     * (reading W[r][c] as Wᵀ[c][r]), for the equivalence tests and
-     * kernel_regression baseline.
+     * (reading W[r][c] as Wᵀ[c][r]), for the equivalence tests.
      */
     Tensor forwardNaive(const Tensor &input) const;
 

@@ -4,20 +4,11 @@
 #include <cstring>
 
 #include "base/logging.hh"
-#include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
 
 namespace mindful::dnn::gemm {
 namespace {
-
-/**
- * Minimum m * n * k product before biasGemm ships column-tile shards
- * to the process-wide pool; smaller problems run inline (pool dispatch
- * would cost more than the arithmetic). Results are identical either
- * way.
- */
-constexpr std::uint64_t kParallelMacThreshold = 1u << 16;
 
 /**
  * One register tile: C columns [0, width) of one row, width <=
@@ -48,25 +39,24 @@ accumulateTile(std::size_t width, std::size_t n, std::size_t k,
 }
 
 /**
- * Produce C columns [col_begin, col_end) of every row as kColBlock-wide
- * tiles; only a range ending at n can end on a ragged tile. The full
- * tiles pass the width as a constant so their j loops vectorise.
+ * Produce every row of C as kColBlock-wide tiles; only the last tile
+ * of a row can be ragged. The full tiles pass the width as a constant
+ * so their j loops vectorise.
  */
 template <bool Relu>
 void
-gemmColRange(std::size_t m, std::size_t n, std::size_t k, const float *a,
-             const float *b, float *c, std::size_t col_begin,
-             std::size_t col_end)
+gemmTiles(std::size_t m, std::size_t n, std::size_t k, const float *a,
+          const float *b, float *c)
 {
     for (std::size_t row = 0; row < m; ++row) {
         const float *arow = a + row * k;
         float *crow = c + row * n;
-        std::size_t col = col_begin;
-        for (; col + kColBlock <= col_end; col += kColBlock)
+        std::size_t col = 0;
+        for (; col + kColBlock <= n; col += kColBlock)
             accumulateTile<Relu>(kColBlock, n, k, arow, b + col,
                                  crow + col);
-        if (col < col_end)
-            accumulateTile<Relu>(col_end - col, n, k, arow, b + col,
+        if (col < n)
+            accumulateTile<Relu>(n - col, n, k, arow, b + col,
                                  crow + col);
     }
 }
@@ -87,42 +77,10 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
     MINDFUL_CALL_SPAN(span, "dnn", "gemm");
     span.setArg(macs);
 
-    const bool relu = epilogue == Epilogue::Relu;
-    auto run = [&](std::size_t col_begin, std::size_t col_end) {
-        if (relu)
-            gemmColRange<true>(m, n, k, a, b, c, col_begin, col_end);
-        else
-            gemmColRange<false>(m, n, k, a, b, c, col_begin, col_end);
-    };
-
-    // Shard over whole kColBlock column tiles only: no shard touches
-    // another shard's C columns and there is no cross-shard reduction,
-    // so the decomposition (and the thread count) cannot affect the
-    // result.
-    const std::size_t tiles = (n + kColBlock - 1) / kColBlock;
-    std::size_t shards = 1;
-    if (macs >= kParallelMacThreshold)
-        shards = std::min<std::size_t>(exec::kDefaultShards, tiles);
-    if (shards <= 1) {
-        run(0, n);
-    } else {
-        // The shard site is interned once outside the body; recording
-        // a HotSpan is lock- and allocation-free, and mindful-analyze
-        // certifies it, so this needs no suppression.
-        static const obs::TraceSite shard_site =
-            obs::TraceCollector::global().site("dnn", "gemm.shard");
-        exec::parallelFor(
-            shards,
-            [&](std::size_t shard) {
-                obs::HotSpan shard_span(shard_site);
-                auto range = exec::shardRange(tiles, shards, shard);
-                const std::size_t col_begin = range.begin * kColBlock;
-                const std::size_t col_end =
-                    std::min<std::size_t>(range.end * kColBlock, n);
-                shard_span.setArg(col_end - col_begin);
-                run(col_begin, col_end);
-            });
-    }
+    if (epilogue == Epilogue::Relu)
+        gemmTiles<true>(m, n, k, a, b, c);
+    else
+        gemmTiles<false>(m, n, k, a, b, c);
 
     auto &registry = obs::MetricRegistry::global();
     if (registry.enabled()) {

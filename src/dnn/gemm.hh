@@ -18,11 +18,10 @@
  * Determinism contract (docs/performance.md): every output element
  * starts from its bias and accumulates its k products **sequentially
  * in ascending k order** into one scalar, exactly like the retained
- * naive loops, and work is sharded over whole kColBlock column tiles
- * only — no cross-shard reduction exists. The result is therefore
- * bit-identical to the naive reference and across any `--threads`
- * value. Cache blocking happens in the n direction (register tiles of
- * kColBlock columns walk B rows contiguously), which reorders
+ * naive loops, so the result is bit-identical to the naive reference.
+ * The kernel runs on the calling thread, so `--threads` cannot change
+ * it either. Cache blocking happens in the n direction (register tiles
+ * of kColBlock columns walk B rows contiguously), which reorders
  * nothing.
  */
 
@@ -43,19 +42,17 @@ enum class Epilogue : std::uint8_t {
 };
 
 /**
- * Register-tile width of the blocked kernel, and the unit of its
- * sharding: one row of C is produced kColBlock columns at a time, with
- * the k loop innermost over a contiguous B row segment. 16 floats =
- * one 64-byte cache line.
+ * Register-tile width of the blocked kernel: one row of C is produced
+ * kColBlock columns at a time, with the k loop innermost over a
+ * contiguous B row segment. 16 floats = one 64-byte cache line.
  */
 inline constexpr std::size_t kColBlock = 16;
 
 /**
  * C = epilogue(C + A * B), all matrices row-major and contiguous: A is
- * m x k, B is k x n, C is m x n and holds the bias on entry. Shards
- * column tiles over exec::parallelFor once the MAC count is large
- * enough to pay for the dispatch (smaller problems run inline; the
- * result is identical either way); records dnn.gemm.* metrics.
+ * m x k, B is k x n, C is m x n and holds the bias on entry. Runs
+ * inline on the calling thread at every size; records dnn.gemm.*
+ * metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
               const float *a, const float *b, float *c,

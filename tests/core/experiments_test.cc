@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/experiments.hh"
 
@@ -86,6 +87,26 @@ TEST(ExperimentsTest, Fig9TwelveDesigns)
     EXPECT_EQ(rows.front().design, 1);
     EXPECT_EQ(rows.back().design, 12);
     EXPECT_EQ(fig9Table().rows(), 12u);
+}
+
+TEST(ExperimentsTest, Fig9PeSharesMatchExperimentsTable)
+{
+    // EXPERIMENTS.md, Fig. 9, to +-0.05 points (the CSV's one decimal):
+    // the PE share of layer power spans 22.6-29.1 % over designs 1-5,
+    // then rises 36.6 -> 79.9 % over designs 6-9 and 86.4 -> 94.0 %
+    // over designs 10-12.
+    std::vector<double> share;
+    for (const auto &row : fig9Rows())
+        share.push_back(100.0 * row.estimate.peShare);
+    ASSERT_EQ(share.size(), 12u);
+    const auto [lo, hi] =
+        std::minmax_element(share.begin(), share.begin() + 5);
+    EXPECT_NEAR(*lo, 22.6, 0.05);
+    EXPECT_NEAR(*hi, 29.1, 0.05);
+    for (const auto &[design, percent] :
+         std::map<int, double>{{6, 36.6}, {9, 79.9}, {10, 86.4}, {12, 94.0}})
+        EXPECT_NEAR(share[design - 1], percent, 0.05) << design;
+    EXPECT_TRUE(std::is_sorted(share.begin() + 5, share.end()));
 }
 
 TEST(ExperimentsTest, Fig10SweepBothModels)
@@ -206,6 +227,41 @@ TEST(ExperimentsTest, Fig11RowsPerSocAndModel)
     ASSERT_EQ(rows.size(), 8u);
     Table table = fig11Table();
     EXPECT_EQ(table.rows(), 16u); // 8 SoCs x 2 models
+}
+
+TEST(ExperimentsTest, Fig11GainsMatchExperimentsTable)
+{
+    // EXPERIMENTS.md, Fig. 11: the MLP's mean gain is 1.18x, SoC 5's
+    // uplink admits no cut (1.0x), and DN-CNN gains nothing on any of
+    // the 8 SoCs (exact match with the paper).
+    const auto mlp = partitionGains(SpeechModel::Mlp);
+    ASSERT_EQ(mlp.size(), 8u);
+    double sum = 0.0;
+    for (const auto &row : mlp)
+        sum += row.gain;
+    EXPECT_NEAR(sum / 8.0, 1.18, 0.005);
+    ASSERT_EQ(mlp[4].socId, 5);
+    EXPECT_EQ(mlp[4].gain, 1.0);
+    for (const auto &row : partitionGains(SpeechModel::DnCnn))
+        EXPECT_EQ(row.gain, 1.0) << "SoC " << row.socId;
+}
+
+TEST(ExperimentsTest, Fig11BestMlpGainIsKnownDeviation)
+{
+    // The paper's best MLP gain is +40 % at SoC 6 (Yang). Here the
+    // best is +30 % at SoCs 1-2 (BISC 1.28x, Gilhotra 1.30x) and SoC 6
+    // reads +18 %: the deviation EXPERIMENTS.md records, pinned to the
+    // CSV's two decimals so a fix or a drift shows up here.
+    const auto mlp = partitionGains(SpeechModel::Mlp);
+    ASSERT_EQ(mlp.size(), 8u);
+    const auto best = std::max_element(
+        mlp.begin(), mlp.end(),
+        [](const auto &a, const auto &b) { return a.gain < b.gain; });
+    EXPECT_EQ(best->socId, 2);
+    EXPECT_NEAR(mlp[0].gain, 1.28, 0.005);
+    EXPECT_NEAR(mlp[1].gain, 1.30, 0.005);
+    ASSERT_EQ(mlp[5].socId, 6);
+    EXPECT_NEAR(mlp[5].gain, 1.18, 0.005);
 }
 
 TEST(ExperimentsTest, Fig12TablePerSoc)

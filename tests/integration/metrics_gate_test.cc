@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime metric gate, end to end: with the global registry disabled,
- * the sharded kernels (GEMM, QAM/OOK BER), the red-black SOR
+ * the GEMM, the sharded QAM/OOK BER kernels, the red-black SOR
  * solve and the query engine record no counter at all; re-enabled,
  * the same calls add their per-call totals.
  */
@@ -37,16 +37,15 @@ counterValues()
 }
 
 /**
- * One call through each kernel's sharded path, then one query and a
+ * One call through each gated kernel site, then one query and a
  * batch of two through @p engine (a miss, then hits for a fresh
  * @p channels).
  */
 void
-runShardedSites(serve::QueryEngine &engine, std::uint64_t channels)
+runGatedSites(serve::QueryEngine &engine, std::uint64_t channels)
 {
-    // 64 x 32 x 64 = 2^17 MACs clears biasGemm's 2^16-MAC sharding
-    // threshold (dnn/gemm.cc), and n = 32 is two 16-column tiles, so
-    // the call shards two ways. C starts as a zero bias.
+    // 64 x 32 x 64 = 2^17 MACs through biasGemm (dnn/gemm.cc), which
+    // runs inline on this thread. C starts as a zero bias.
     const std::size_t m = 64, n = 32, k = 64;
     std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
     dnn::gemm::biasGemm(m, n, k, a.data(), b.data(), c.data());
@@ -75,13 +74,13 @@ TEST(MetricsGateTest, DisabledRegistryRecordsNoKernelOrServeCounter)
 
     const auto before = counterValues();
     registry.setEnabled(false);
-    runShardedSites(engine, 1024);
+    runGatedSites(engine, 1024);
     const auto disabled = counterValues();
     registry.setEnabled(true);
     EXPECT_EQ(disabled, before);
 
     // The same calls, enabled, reach every site the gate covered.
-    runShardedSites(engine, 512);
+    runGatedSites(engine, 512);
     auto enabled = counterValues();
     auto added = [&](const std::string &name) {
         const auto was = before.find(name);

@@ -15,8 +15,9 @@
  * symbol table and call graph, then run the semantic checks:
  *
  *  - hot-path: nothing reachable from a shard root may commit an
- *    impurity. Protects the dnn/gemm.cc inner kernel from silent
- *    perf/determinism regressions.
+ *    impurity. Protects the pooled shard bodies (comm BER, ni
+ *    cortex, core sweeps, serve batch) from silent perf/determinism
+ *    regressions.
  *  - unit-algebra: expression-level unit discipline — unwrapped
  *    accessors of different dimensions/scales must not meet across
  *    +/-/comparison operators, and power-density comparisons must go
